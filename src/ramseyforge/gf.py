@@ -128,13 +128,15 @@ class FieldSpec:
     __slots__ = ("p", "k", "q", "modulus", "_hash")
 
     def __init__(self, p: int, k: int, modulus: Sequence[int] | None = None):
-        if not _is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
         if k < 1:
             raise ValueError("degree must be >= 1")
+        # the cap goes first, to bound the trial division in _is_prime; the
+        # exponent test keeps p**k from being computed for a huge k
+        if (abs(p) > 1 and k > MAX_ORDER.bit_length()) or p**k > MAX_ORDER:
+            raise ValueError(f"field order {p}^{k} exceeds supported maximum {MAX_ORDER}")
+        if not _is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
         q = p**k
-        if q > MAX_ORDER:
-            raise ValueError(f"field order {q} exceeds supported maximum {MAX_ORDER}")
         if modulus is None:
             if k == 1:
                 modulus = (0, 1)
@@ -355,6 +357,8 @@ class FieldElement:
 def spec_for(order) -> FieldSpec:
     """FieldSpec for a field order given as an int or a "p^k" string."""
     q = parse_order(order)
+    if q > MAX_ORDER:  # before factoring, which trial-divides up to sqrt(q)
+        raise ValueError(f"field order {q} exceeds supported maximum {MAX_ORDER}")
     p, k = _factor_prime_power(q)
     return FieldSpec(p, k)
 
@@ -364,8 +368,10 @@ def parse_order(order) -> int:
         return order
     text = str(order).strip()
     if "^" in text:
-        p_s, k_s = text.split("^", 1)
-        return int(p_s) ** int(k_s)
+        p, k = (int(part) for part in text.split("^", 1))
+        if abs(p) > 1 and k > MAX_ORDER.bit_length():  # no field this large; skip p**k
+            raise ValueError(f"field order {text} exceeds supported maximum {MAX_ORDER}")
+        return p**k
     return int(text)
 
 

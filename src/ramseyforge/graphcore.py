@@ -364,7 +364,7 @@ def max_clique(G: Graph, budget: int | None = None) -> AlphaResult:
     best, witness, status = _max_clique_search(G, budget, None)
     if status == "complete":
         return AlphaResult(best, best, witness, True)
-    return AlphaResult(best, _root_color_bound(G.complement()), witness, False)
+    return AlphaResult(best, _root_color_bound(G), witness, False)
 
 
 def independence_number(G: Graph, budget: int | None = None) -> AlphaResult:
@@ -375,7 +375,7 @@ def independence_number(G: Graph, budget: int | None = None) -> AlphaResult:
     if status == "complete":
         result = AlphaResult(best, best, witness, True)
     else:
-        result = AlphaResult(best, _root_color_bound(G), witness, False)
+        result = AlphaResult(best, _root_color_bound(comp), witness, False)
     floor = -(-G.n // ((max(G.degrees) if G.n else 0) + 1))
     if result.upper < floor:  # pragma: no cover - would be a solver bug
         raise AssertionError("independence bound fell below the Turan floor")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 
 import pytest
 
@@ -175,6 +176,18 @@ def test_certify_and_verify(capsys, tmp_path):
     mut_path.write_text(json.dumps(mutated))
     code, out, _ = run(capsys, ["verify", "--cert", str(mut_path)])
     assert code == 1 and json.loads(out)["status"] == "INVALID"
+
+
+def test_certify_budget_exhausted_is_undecided(capsys):
+    # the alpha interval under a budget used to cap alpha by a clique bound,
+    # fall below the Turan floor and escape dispatch as an AssertionError
+    code, out, err = run(
+        capsys, ["certify", "--family", "er", "--q", "13", "--pattern", "c4", "--budget", "20000"]
+    )
+    assert code == 3 and out == ""
+    assert "Traceback" not in err
+    lo, hi = map(int, re.search(r"undecided: .*\[(\d+), (\d+)\]", err).groups())
+    assert -(-183 // 15) <= lo <= hi  # ER_13: 183 vertices, max degree 14
 
 
 def test_certify_families(capsys):

@@ -80,6 +80,31 @@ def test_check_vacuous_when_m_exceeds_n():
     assert ct.check_pseudorandom(G, p).ok
 
 
+def test_exhaustive_check_matches_scan_over_all_sizes():
+    # oracle: every subset of every size >= max(m, 2), in (size, combinations)
+    # order, with e(X) counted pair by pair
+    def first_violator(G, alpha, m):
+        for size in range(max(m, 2), G.n + 1):
+            for X in itertools.combinations(range(G.n), size):
+                e = sum(G.has_edge(u, v) for u, v in itertools.combinations(X, 2))
+                if e < alpha * math.comb(size, 2):
+                    return X
+        return None
+
+    rng = random.Random(404)
+    outcomes = set()
+    for _ in range(80):
+        n = rng.randint(2, 9)
+        G = random_graph(n, rng.uniform(0.3, 0.95), rng)
+        alpha = Fraction(rng.randint(0, 10), 10)
+        m = rng.randint(1, n)
+        res = ct.check_pseudorandom(G, ct.PseudorandomParams(alpha, m, "exact-checked"))
+        expected = first_violator(G, alpha, m)
+        assert res.violator == expected and res.ok == (expected is None)
+        outcomes.add(res.ok)
+    assert outcomes == {True, False}
+
+
 def test_check_exhaustive_guard():
     G = Graph(30, [0] * 30)
     p = ct.PseudorandomParams(Fraction(1, 2), 2, "exact-checked")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +35,23 @@ def test_parse_order():
     assert gf.parse_order("3^2") == 9
     assert gf.parse_order("13") == 13
     assert gf.parse_order(49) == 49
+
+
+def test_order_cap_rejects_before_factoring():
+    # 100000000000031 is prime: trial division to its square root took
+    # seconds, and a prime near 10^18 would take minutes
+    start = time.perf_counter()
+    for reject in (
+        lambda: gf.spec_for(100000000000031),
+        lambda: gf.spec_for(1000000000000000003),
+        lambda: gf.spec_for("2^1000000000000"),
+        lambda: gf.FieldSpec(1000000000000000003, 1),
+        lambda: gf.FieldSpec(3, 10**18),
+    ):
+        with pytest.raises(ValueError, match="exceeds supported maximum"):
+            reject()
+    assert time.perf_counter() - start < 1.0
+    assert gf.spec_for("3^2").q == 9 and gf.spec_for(9973).q == 9973  # largest prime under the cap
 
 
 @pytest.mark.parametrize("q", SMALL_ORDERS)

@@ -168,6 +168,29 @@ def test_budget_gives_certified_interval():
         res.value
 
 
+def complete_tripartite(k: int) -> Graph:
+    return Graph.from_edges(
+        3 * k, [(u, v) for u in range(3 * k) for v in range(u + 1, 3 * k) if u // k != v // k]
+    )
+
+
+def test_budget_interval_independence_bound_from_complement():
+    # K_{10,10,10}: alpha = 10 (one part), omega = 3; the search stops at
+    # once, so the upper end is the coloring bound, which must bound alpha
+    res = gc.independence_number(complete_tripartite(10), budget=1)
+    assert not res.exact
+    assert res.lower <= 10 <= res.upper
+
+
+def test_budget_interval_clique_bound_from_graph():
+    # three disjoint K_10: omega = 10, while a coloring of the complement
+    # K_{10,10,10} needs only 3 colors
+    for G, omega in ((complete_tripartite(10), 3), (complete_tripartite(10).complement(), 10)):
+        res = gc.max_clique(G, budget=1)
+        assert not res.exact
+        assert res.lower <= omega <= res.upper
+
+
 def test_find_clique_and_independent_set():
     G = petersen()
     assert gc.find_clique(G, 3) is None

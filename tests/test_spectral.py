@@ -78,6 +78,44 @@ def test_symmetric_eigenvalues_guards():
         sp.spectrum(Graph(sp.MAX_SPECTRUM_N + 1, [0] * (sp.MAX_SPECTRUM_N + 1)))
 
 
+def corrupted_eigh(monkeypatch, corrupt):
+    """Make spectral's LAPACK call hand back eigenpairs passed through corrupt."""
+    eigh = np.linalg.eigh
+
+    def fake(M):
+        vals, V = eigh(M)
+        return corrupt(vals.copy(), V.copy())
+
+    monkeypatch.setattr(sp.np.linalg, "eigh", fake)
+
+
+@pytest.mark.parametrize("shift", [1e-3, float("nan")])
+def test_residual_check_rejects_a_perturbed_eigenpair(monkeypatch, shift):
+    def corrupt(vals, V):
+        vals[4] += shift
+        return vals, V
+
+    A = sp.adjacency_matrix(petersen())
+    assert sp.symmetric_eigenvalues(A)[0] == pytest.approx(3.0)
+    corrupted_eigh(monkeypatch, corrupt)
+    with pytest.raises(ArithmeticError, match="residual"):
+        sp.symmetric_eigenvalues(A)
+    with pytest.raises(ArithmeticError):
+        sp.spectrum(petersen())
+
+
+def test_orthonormality_check_rejects_a_repeated_eigenvector(monkeypatch):
+    # a copied eigenpair has zero residual but drops an eigenvalue: only the
+    # Gram matrix sees it
+    def corrupt(vals, V):
+        vals[0], V[:, 0] = vals[1], V[:, 1]
+        return vals, V
+
+    corrupted_eigh(monkeypatch, corrupt)
+    with pytest.raises(ArithmeticError, match="orthonormal"):
+        sp.symmetric_eigenvalues(sp.adjacency_matrix(cycle_graph(7)))
+
+
 def test_known_spectra():
     vals = sp.spectrum(Graph.from_edges(3, [(0, 1), (1, 2)])).eigenvalues
     assert vals == pytest.approx((math.sqrt(2), 0.0, -math.sqrt(2)), abs=1e-12)
