@@ -10,15 +10,16 @@ C(n,s) * C(m, t-s) count bound.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .graphcore import Graph
-from .spectral import SpectralReport, spectrum
+from .spectral import SpectralReport, adjacency_matrix, spectrum
 
 MAX_EXHAUSTIVE_N = 24
 
@@ -65,9 +66,39 @@ def mixing_derived_params(G: Graph, report: SpectralReport | None = None) -> Pse
     return PseudorandomParams(alpha, m, "mixing-derived")
 
 
-def _violates(edge_count2: int, size: int, alpha: Fraction) -> bool:
-    # e(X) < alpha C(size, 2), all-integer
-    return edge_count2 * alpha.denominator < alpha.numerator * size * (size - 1)
+def _sparse_m_subset(
+    G: Graph, m: int, bound: int, first: bool
+) -> tuple[int, tuple[int, ...]] | None:
+    """Depth-first search over the m-subsets X of G for e(X) < bound.
+
+    Vertices are tried in index order, "include v" before "exclude v", so
+    m-subsets are reached in itertools.combinations order.  The edge count
+    is kept as the subset grows, and a branch is cut once it reaches the
+    bound: adding vertices never removes edges.  Each leaf reached lowers
+    the bound to its own count, so the search ends on the first sparsest
+    m-subset; with `first` it stops at the first leaf instead.  Returns
+    (e(X), X), or None when no m-subset spans fewer than `bound` edges.
+    """
+    n, rows = G.n, G.rows
+    chosen: list[int] = []
+    found: tuple[int, tuple[int, ...]] | None = None
+
+    def extend(start: int, mask: int, edges: int) -> bool:
+        nonlocal bound, found
+        if len(chosen) == m:
+            bound, found = edges, (edges, tuple(chosen))
+            return first
+        for v in range(start, n - m + len(chosen) + 1):
+            e = edges + (rows[v] & mask).bit_count()
+            if e < bound:
+                chosen.append(v)
+                if extend(v + 1, mask | 1 << v, e):
+                    return True
+                chosen.pop()
+        return False
+
+    extend(0, 0, 0)
+    return found
 
 
 def check_pseudorandom(
@@ -79,12 +110,15 @@ def check_pseudorandom(
 ) -> PseudorandomCheck:
     """Check e(X) >= alpha C(|X|, 2) for subsets of size >= m.
 
-    Exhaustive mode (n <= 24) scans the subsets of size max(m, 2) in
-    combinations order and returns the first violator.  No larger size needs
-    a scan: e(X)/C(k, 2) is the average of e(Y)/C(k-1, 2) over the
-    (k-1)-subsets Y of X, so a violator of size k has one of size k - 1.
-    Sampled mode draws `samples` seeded uniform subsets per size class and
-    reports the smallest violator found, so reports merge deterministically.
+    No size above k = max(m, 2) needs a look: e(X)/C(k, 2) is the average
+    of e(Y)/C(k-1, 2) over the (k-1)-subsets Y of X, so a violator of size
+    k has one of size k - 1.  Exhaustive mode (n <= 24) searches the
+    k-subsets in combinations order, cutting every branch whose edges
+    already reach ceil(alpha C(k, 2)), and returns the first violator.
+    Sampled mode draws `samples` >= 1 seeded uniform subsets per size class
+    from k up, counts their edges in one matrix product per class, and
+    reports the smallest violator of the smallest violated size, so reports
+    merge deterministically.
     """
     n = G.n
     alpha = params.alpha
@@ -92,60 +126,42 @@ def check_pseudorandom(
     if mode == "exhaustive":
         if n > MAX_EXHAUSTIVE_N:
             raise ValueError(f"exhaustive mode needs n <= {MAX_EXHAUSTIVE_N}")
-        for X in itertools.combinations(range(n), lo):
-            mask = 0
-            for v in X:
-                mask |= 1 << v
-            if _violates(2 * G.subgraph_edge_count(mask), lo, alpha):
-                return PseudorandomCheck(False, X)
-        return PseudorandomCheck(True, None)
+        hit = _sparse_m_subset(G, lo, math.ceil(alpha * math.comb(lo, 2)), first=True)
+        return PseudorandomCheck(True, None) if hit is None else PseudorandomCheck(False, hit[1])
     if mode != "sampled":
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
+    if samples < 1:
+        raise ValueError("sampled mode needs samples >= 1")
     rng = random.Random(seed)
-    best: tuple[int, tuple[int, ...]] | None = None
+    A = adjacency_matrix(G)
+    sample_rows = np.arange(samples)[:, None]
     for size in range(lo, n + 1):
-        for _ in range(samples):
-            X = tuple(sorted(rng.sample(range(n), size)))
-            mask = 0
-            for v in X:
-                mask |= 1 << v
-            if _violates(2 * G.subgraph_edge_count(mask), size, alpha):
-                if best is None or (size, X) < best:
-                    best = (size, X)
-    if best is None:
-        return PseudorandomCheck(True, None)
-    return PseudorandomCheck(False, best[1])
+        draws = [rng.sample(range(n), size) for _ in range(samples)]
+        S = np.zeros((samples, n))
+        S[sample_rows, draws] = 1.0
+        # 2 e(X) per sample: integer sums far below 2**53, so float64 is exact
+        twice_edges = np.einsum("ij,ij->i", S @ A, S)
+        # e(X) < alpha C(size, 2)  <=>  2 e(X) < ceil(alpha size (size - 1))
+        bad = np.flatnonzero(twice_edges < math.ceil(alpha * size * (size - 1)))
+        if bad.size:
+            # later size classes are larger, so none can hold a smaller violator
+            return PseudorandomCheck(False, min(tuple(sorted(draws[i])) for i in bad))
+    return PseudorandomCheck(True, None)
 
 
 def exact_alpha_m(G: Graph, m: int) -> Fraction:
     """The largest valid alpha for a given m: the exact minimum of
-    e(X)/C(|X|, 2) over all subsets with |X| >= m (full subset scan)."""
+    e(X)/C(|X|, 2) over all subsets with |X| >= m.  By the averaging lemma
+    (see check_pseudorandom) the minimum is reached at |X| = m, so this is
+    min e(X) / C(m, 2) over the m-subsets, found by a pruned search."""
     n = G.n
     if n > MAX_EXHAUSTIVE_N:
         raise ValueError(f"exact alpha needs n <= {MAX_EXHAUSTIVE_N}")
     if not 2 <= m <= n:
         raise ValueError("need 2 <= m <= n")
-    rows = G.rows
-    best: Fraction | None = None
-
-    def scan(v: int, mask: int, size: int, edges: int) -> None:
-        nonlocal best
-        if best == 0:
-            return
-        if size + (n - v) < m:
-            return
-        if v == n:
-            if size >= m:
-                ratio = Fraction(edges, size * (size - 1) // 2)
-                if best is None or ratio < best:
-                    best = ratio
-            return
-        scan(v + 1, mask, size, edges)
-        scan(v + 1, mask | 1 << v, size + 1, edges + (rows[v] & mask).bit_count())
-
-    scan(0, 0, 0, 0)
-    assert best is not None
-    return best
+    pairs = math.comb(m, 2)
+    edges, _ = _sparse_m_subset(G, m, pairs + 1, first=False)
+    return Fraction(edges, pairs)
 
 
 # -- fingerprints -------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import re
@@ -142,6 +143,26 @@ def test_transfer(capsys):
     assert summary["shadowEdges"] == 1008 and summary["expectedKeptPerEdge"] == 18.0
     assert summary["allFractionsOk"] is True and summary["allPatternFree"] is True
     assert run(capsys, ["transfer", "--q", "2", "--trials", "5"])[0] == 2  # shadow too small
+
+
+def test_transfer_output_pinned(capsys):
+    # 25 trials with both sampled verdicts (5 of them false); the hash pins
+    # the kept edges, the pattern checks and every sampled-check verdict
+    code, out, _ = run(capsys, ["transfer", "--q", "3", "--trials", "25", "--pattern", "k4", "--seed", "1"])
+    assert code == 0
+    assert out.count('"pseudorandomSampled":false') == 5
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c9d9b6ba2af4aa91efa2c3b7140fcbbba681623fc009880ed1795a0622b2e747"
+    )
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_sampled_checks_reject_empty_sample_budget(capsys, er3_file, samples):
+    # with no subset drawn, nothing is checked and "ok" would be vacuous
+    code, out, err = run(capsys, ["containers", "--in", er3_file, "--mode", "sampled", "--samples", samples])
+    assert code == 2 and out == "" and "samples" in err
+    code, out, err = run(capsys, ["transfer", "--q", "3", "--trials", "2", "--samples", samples])
+    assert code == 2 and out == "" and "samples" in err
 
 
 def test_thread_count_never_changes_output(capsys):

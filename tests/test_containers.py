@@ -129,6 +129,50 @@ def test_check_sampled_mode():
     assert not res.ok and len(res.violator) >= 2
 
 
+def sampled_reference(G, params, samples, seed):
+    # one rng.sample draw and one bitset edge count per subset, every size
+    # class from max(m, 2) to n, smallest (size, X) violator
+    n = G.n
+    rng = random.Random(seed)
+    best = None
+    for size in range(max(params.m, 2), n + 1):
+        for _ in range(samples):
+            X = tuple(sorted(rng.sample(range(n), size)))
+            e = G.subgraph_edge_count(sum(1 << v for v in X))
+            if e < params.alpha * math.comb(size, 2) and (best is None or (size, X) < best):
+                best = (size, X)
+    return ct.PseudorandomCheck(best is None, None if best is None else best[1])
+
+
+def test_sampled_mode_matches_per_subset_reference():
+    rng = random.Random(606)
+    outcomes = set()
+    for _ in range(100):
+        n = rng.randint(10, 130)
+        p = rng.uniform(0.1, 0.9)
+        G = random_graph(n, p, rng)
+        # demands around the density make both verdicts common
+        alpha = min(Fraction(1), Fraction(p * rng.uniform(0.3, 1.1)).limit_denominator(50))
+        m = rng.choice((1, 2, rng.randint(2, n), n, n + 1))
+        params = ct.PseudorandomParams(alpha, m, "exact-checked")
+        samples, seed = rng.randint(1, 6), rng.getrandbits(32)
+        res = ct.check_pseudorandom(G, params, mode="sampled", samples=samples, seed=seed)
+        assert res == sampled_reference(G, params, samples, seed), (n, alpha, m, samples, seed)
+        outcomes.add(res.ok)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_sampled_mode_rejects_empty_sample_budget(samples):
+    G = random_graph(12, 0.5, random.Random(3))
+    p = ct.PseudorandomParams(Fraction(1, 2), 3, "exact-checked")
+    with pytest.raises(ValueError):
+        ct.check_pseudorandom(G, p, mode="sampled", samples=samples)
+    vacuous = ct.PseudorandomParams(Fraction(1, 2), 13, "exact-checked")
+    with pytest.raises(ValueError):
+        ct.check_pseudorandom(G, vacuous, mode="sampled", samples=samples)
+
+
 def test_exact_alpha_hand_values():
     P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert ct.exact_alpha_m(P4, 3) == Fraction(1, 3)
@@ -144,24 +188,40 @@ def test_exact_alpha_hand_values():
 
 
 def test_exact_alpha_matches_brute_force():
+    def density(G, X):
+        return Fraction(G.subgraph_edge_count(sum(1 << v for v in X)), math.comb(len(X), 2))
+
+    def brute(G, m):  # every subset of every size >= m
+        sizes = range(m, G.n + 1)
+        return min(density(G, X) for k in sizes for X in itertools.combinations(range(G.n), k))
+
     rng = random.Random(77)
+    cases = []
     for _ in range(10):
         n = rng.randint(4, 10)
         G = random_graph(n, rng.uniform(0.3, 0.8), rng)
+        cases.append((G, rng.randint(2, n)))
+    for n in range(4, 13):
+        G = random_graph(n, rng.uniform(0.2, 0.9), rng)
+        cases += [(G, 2), (G, n), (G, rng.randint(2, n))]
+        # an independent m-set forces 0, K_n forces 1
         m = rng.randint(2, n)
-        brute = min(
-            (
-                Fraction(
-                    G.subgraph_edge_count(sum(1 << v for v in X)),
-                    len(X) * (len(X) - 1) // 2,
-                )
-                for size in range(m, n + 1)
-                for X in itertools.combinations(range(n), size)
-            ),
-        )
-        assert ct.exact_alpha_m(G, m) == brute
-        params = ct.PseudorandomParams(brute, m, "exact-checked")
+        hole = set(rng.sample(range(n), m))
+        G0 = Graph.from_edges(n, [e for e in G.edges() if not set(e) <= hole])
+        assert ct.exact_alpha_m(G0, m) == brute(G0, m) == 0
+        assert ct.exact_alpha_m(complete_graph(n), m) == 1
+    for G, m in cases:
+        expected = brute(G, m)
+        assert ct.exact_alpha_m(G, m) == expected
+        params = ct.PseudorandomParams(expected, m, "exact-checked")
         assert ct.check_pseudorandom(G, params).ok
+        if expected < 1:  # any larger alpha has a violator
+            above = ct.PseudorandomParams(expected + Fraction(1, 1000), m, "exact-checked")
+            assert not ct.check_pseudorandom(G, above).ok
+    # G(18, 1/2) at m = 9, against the minimum over the m-subsets alone
+    G = random_graph(18, 0.5, random.Random(18))
+    expected = min(density(G, X) for X in itertools.combinations(range(18), 9))
+    assert ct.exact_alpha_m(G, 9) == expected
 
 
 # --- fingerprint ---------------------------------------------------------------
