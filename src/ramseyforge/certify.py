@@ -80,6 +80,19 @@ def sampled_vertices(n: int, p: float, seed: int) -> list[int]:
     return [v for v in range(n) if derive_seed(seed, v) < cut]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON key of each certificate field: (attribute, JSON type)
+_FIELDS = {
+    "family": ("family", str), "params": ("params", dict), "pattern": ("pattern", str),
+    "t": ("t", int), "witnessCount": ("witness_count", int), "seed": ("seed", int),
+    "deletionTrace": ("deletion_trace", list), "valid": ("valid", bool),
+    "toolVersion": ("tool_version", str),
+}
+
+
 @dataclass(frozen=True)
 class RamseyCertificate:
     """Claim r(pattern, t) > witness_count, backed by a replayable witness.
@@ -102,33 +115,25 @@ class RamseyCertificate:
         return f"r({self.pattern}, {self.t}) > {self.witness_count}"
 
     def to_json(self) -> str:
-        payload = {
-            "family": self.family,
-            "params": dict(self.params),
-            "pattern": self.pattern,
-            "t": self.t,
-            "witnessCount": self.witness_count,
-            "seed": self.seed,
-            "deletionTrace": list(self.deletion_trace),
-            "valid": self.valid,
-            "toolVersion": self.tool_version,
-        }
+        payload = {key: getattr(self, attr) for key, (attr, _) in _FIELDS.items()}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "RamseyCertificate":
+        """Parse a certificate; ValueError unless it is a JSON object whose
+        fields have the types to_json writes."""
         raw = json.loads(text)
-        return cls(
-            family=raw["family"],
-            params=dict(raw["params"]),
-            pattern=raw["pattern"],
-            t=int(raw["t"]),
-            witness_count=int(raw["witnessCount"]),
-            seed=int(raw["seed"]),
-            deletion_trace=tuple(int(v) for v in raw["deletionTrace"]),
-            valid=bool(raw["valid"]),
-            tool_version=str(raw["toolVersion"]),
-        )
+        if not isinstance(raw, dict):
+            raise ValueError("certificate must be a JSON object")
+        fields = {}
+        for key, (attr, kind) in _FIELDS.items():
+            value = raw.get(key)
+            if not (_is_int(value) if kind is int else isinstance(value, kind)):
+                raise ValueError(f"certificate field {key!r} must be {kind.__name__}")
+            fields[attr] = value
+        if not all(_is_int(v) for v in fields["deletion_trace"]):
+            raise ValueError("certificate field 'deletionTrace' must list ints")
+        return cls(**{**fields, "deletion_trace": tuple(fields["deletion_trace"])})
 
 
 def build_family(family: str, params: dict) -> Graph:
@@ -192,10 +197,8 @@ def sample_and_delete(
         victim = max(found, key=lambda i: (sub.degree(i), -i))
         trace.append(alive[victim])
         del alive[victim]
-    valid = False
-    if not undecided:
-        free2, alpha_ok, undecided = _check_witness(G, alive, F, t, budget)
-        valid = bool(free2 and alpha_ok)
+    # G is F-free, so G[alive] is too, and the last round found no
+    # independent t-set: a decided loop has proved both claims
     return RamseyCertificate(
         family=family,
         params={**params, "p": p},
@@ -204,7 +207,7 @@ def sample_and_delete(
         witness_count=len(alive),
         seed=seed,
         deletion_trace=tuple(trace),
-        valid=valid,
+        valid=not undecided,
     )
 
 

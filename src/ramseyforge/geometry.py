@@ -177,42 +177,34 @@ def polarity_absolute_points(q) -> tuple[int, ...]:
 # -- Hermitian unital -------------------------------------------------------
 
 
-class BlockDesign:
-    """Point-block incidence structure in which any two points share at
-    most one block, with uniform block size and point degree."""
+class BlockDesign(LinearHypergraph):
+    """Linear hypergraph whose vertices are geometric points: the blocks are
+    its hyperedges, so any two points share at most one block, and every
+    point lies in the same number of blocks."""
 
-    __slots__ = ("points", "blocks", "v", "block_size", "point_degree")
+    __slots__ = ("points",)
 
     def __init__(self, points: Sequence[ProjectivePoint], blocks: Iterable[Iterable[int]]):
         self.points = tuple(points)
-        self.v = len(self.points)
-        seen_pairs = set()
-        degree = [0] * self.v
-        sizes = set()
-        blks = []
-        for blk in blocks:
-            tup = tuple(sorted(blk))
-            if len(set(tup)) != len(tup):
-                raise ValueError("block repeats a point")
-            if tup and not 0 <= tup[0] <= tup[-1] < self.v:
-                raise ValueError("block point index out of range")
-            for pair in itertools.combinations(tup, 2):
-                if pair in seen_pairs:
-                    raise ValueError(f"point pair {pair} lies in two blocks")
-                seen_pairs.add(pair)
-            for a in tup:
-                degree[a] += 1
-            sizes.add(len(tup))
-            blks.append(tup)
-        self.blocks = tuple(blks)
-        sizes.discard(0)
-        if len(sizes) > 1:
-            raise ValueError(f"mixed block sizes {sorted(sizes)}")
-        self.block_size = sizes.pop() if sizes else 0
-        degs = set(degree)
-        if len(degs) > 1:
-            raise ValueError(f"mixed point degrees {sorted(degs)}")
-        self.point_degree = degs.pop() if degs else 0
+        super().__init__(len(self.points), blocks)
+        if not self.is_regular():
+            raise ValueError(f"mixed point degrees {sorted(set(self.degrees))}")
+
+    @property
+    def v(self) -> int:
+        return self.n
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        return self.edges
+
+    @property
+    def block_size(self) -> int:
+        return self.r
+
+    @property
+    def point_degree(self) -> int:
+        return self.degrees[0]
 
     def is_steiner(self) -> bool:
         """True when every point pair lies in exactly one block."""
@@ -270,11 +262,7 @@ def unital_line_hypergraph(q) -> LinearHypergraph:
     """Dual of the Hermitian unital: one vertex per block, one hyperedge per
     unital point collecting the q^2 blocks through it."""
     design = hermitian_unital(q)
-    through = [[] for _ in range(design.v)]
-    for b, blk in enumerate(design.blocks):
-        for t in blk:
-            through[t].append(b)
-    return LinearHypergraph(len(design.blocks), through)
+    return LinearHypergraph(len(design.blocks), design.incidence())
 
 
 # -- quadratic-character graphs ---------------------------------------------

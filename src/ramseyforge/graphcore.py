@@ -129,6 +129,24 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
+def _shadow_rows(n: int, edges: Sequence[Sequence[int]]) -> list[int]:
+    """Bitset shadow rows of hyperedges on vertices 0..n-1; raises
+    ValueError when a vertex pair lies in two hyperedges (not linear)."""
+    rows = [0] * n
+    for idx, e in enumerate(edges):
+        mask = sum(1 << v for v in e)
+        for v in e:
+            clash = rows[v] & mask
+            if clash:
+                u = (clash & -clash).bit_length() - 1
+                first = next(i for i, f in enumerate(edges) if u in f and v in f)
+                raise ValueError(
+                    f"vertex pair {tuple(sorted((u, v)))} lies in hyperedges {first} and {idx}"
+                )
+            rows[v] |= mask ^ (1 << v)
+    return rows
+
+
 class LinearHypergraph:
     """Uniform hypergraph in which any two hyperedges share at most one vertex."""
 
@@ -151,16 +169,7 @@ class LinearHypergraph:
         (self.r,) = sizes
         if self.r < 1:
             raise ValueError("hyperedges must be nonempty")
-        seen_pairs: dict[tuple[int, int], int] = {}
-        for idx, e in enumerate(edge_list):
-            for i in range(len(e)):
-                for j in range(i + 1, len(e)):
-                    pair = (e[i], e[j])
-                    if pair in seen_pairs:
-                        raise ValueError(
-                            f"hyperedges {seen_pairs[pair]} and {idx} share two vertices {pair}"
-                        )
-                    seen_pairs[pair] = idx
+        _shadow_rows(n, edge_list)
         self.n = n
         self.edges = tuple(edge_list)
         degrees = [0] * n
@@ -619,17 +628,7 @@ def enumerate_independent_sets(G: Graph, t: int, limit: int = ENUMERATION_LIMIT)
 
 def shadow_graph(H: LinearHypergraph) -> Graph:
     """Graph joining every pair of vertices that share a hyperedge."""
-    rows = [0] * H.n
-    for e in H.edges:
-        for i, u in enumerate(e):
-            for v in e[i + 1 :]:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    G = Graph(H.n, rows)
-    expected = len(H.edges) * (H.r * (H.r - 1) // 2)
-    if G.edge_count != expected:  # pragma: no cover - linearity guarantees this
-        raise AssertionError("shadow edge count violates linearity")
-    return G
+    return Graph(H.n, _shadow_rows(H.n, H.edges))
 
 
 def _induced_piece_bipartite(copy_vertices: Sequence[int], copy_edges: set, inside) -> bool:
@@ -734,19 +733,30 @@ def write_graph(G: Graph, fh, header: dict | None = None) -> None:
         fh.write(f"{u} {v}\n")
 
 
-def read_graph(fh) -> tuple[Graph, dict]:
+# Largest vertex count the edge-list readers accept (the same cap as
+# geometry.MAX_POINTS), so a hostile header cannot ask for a huge allocation.
+MAX_READ_VERTICES = 1_000_000
+
+
+def _read_edge_list(fh, kind: str) -> tuple[dict, Iterator[list[str]]]:
+    """The '# {json}' header -- a JSON object whose "n" is an int in
+    0..MAX_READ_VERTICES, else ValueError -- and an iterator over the words
+    of each later line (blank and '#' lines skipped)."""
     first = fh.readline()
     if not first.startswith("#"):
-        raise ValueError("missing graph header line")
+        raise ValueError(f"missing {kind} header line")
     header = json.loads(first[1:].strip())
-    edges = []
-    for line in fh:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        u, v = line.split()
-        edges.append((int(u), int(v)))
-    return Graph.from_edges(int(header["n"]), edges), header
+    if not isinstance(header, dict):
+        raise ValueError(f"{kind} header must be a JSON object")
+    n = header.get("n")
+    if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= MAX_READ_VERTICES:
+        raise ValueError(f"{kind} header needs an integer n in 0..{MAX_READ_VERTICES}")
+    return header, (words for words in map(str.split, fh) if words and words[0][0] != "#")
+
+
+def read_graph(fh) -> tuple[Graph, dict]:
+    header, lines = _read_edge_list(fh, "graph")
+    return Graph.from_edges(header["n"], [(int(u), int(v)) for u, v in lines]), header
 
 
 def write_hypergraph(H: LinearHypergraph, fh, header: dict | None = None) -> None:
@@ -761,14 +771,5 @@ def write_hypergraph(H: LinearHypergraph, fh, header: dict | None = None) -> Non
 
 
 def read_hypergraph(fh) -> tuple[LinearHypergraph, dict]:
-    first = fh.readline()
-    if not first.startswith("#"):
-        raise ValueError("missing hypergraph header line")
-    header = json.loads(first[1:].strip())
-    edges = []
-    for line in fh:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        edges.append(tuple(int(x) for x in line.split()))
-    return LinearHypergraph(int(header["n"]), edges), header
+    header, lines = _read_edge_list(fh, "hypergraph")
+    return LinearHypergraph(header["n"], [tuple(map(int, words)) for words in lines]), header

@@ -77,20 +77,13 @@ def bichromatic_subgraph(H: LinearHypergraph, coloring: EdgeColoring) -> Graph:
     common hyperedge colors their two ends differently."""
     if len(coloring.bits) != len(H.edges):
         raise ValueError("coloring does not match the hypergraph")
-    seen: set[tuple[int, int]] = set()
-    edges = []
-    for idx, edge in enumerate(H.edges):
-        b = coloring.bits[idx]
-        ones = [v for j, v in enumerate(edge) if b >> j & 1]
-        zeros = [v for j, v in enumerate(edge) if not b >> j & 1]
-        for u in zeros:
-            for v in ones:
-                pair = (u, v) if u < v else (v, u)
-                if pair in seen:
-                    raise ValueError(f"pair {pair} lies in two hyperedges")
-                seen.add(pair)
-                edges.append(pair)
-    return Graph.from_edges(H.n, edges)
+    rows = [0] * H.n
+    for edge, b in zip(H.edges, coloring.bits):
+        ones = sum(1 << v for j, v in enumerate(edge) if b >> j & 1)
+        zeros = sum(1 << v for j, v in enumerate(edge) if not b >> j & 1)
+        for v in edge:
+            rows[v] |= zeros if ones >> v & 1 else ones
+    return Graph(H.n, rows)
 
 
 class TransferParams(NamedTuple):

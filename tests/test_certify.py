@@ -138,6 +138,21 @@ def test_mutated_certificates_rejected():
     assert verify(t=17) == "VALID"  # raising t only weakens the claim
 
 
+def test_from_json_rejects_wrong_field_types(er3):
+    raw = json.loads(ce.sample_and_delete(er3, ForbiddenPattern.c4(), 6, 1.0, 0, "er", {"q": 3}).to_json())
+    bad = [
+        {"t": "6"}, {"t": 6.0}, {"t": True}, {"seed": None}, {"valid": "yes"},
+        {"params": [["q", 3]]}, {"family": 1}, {"toolVersion": 1},
+        {"deletionTrace": ["1"]}, {"deletionTrace": [1.5]}, {"deletionTrace": [True]},
+    ]
+    for changes in bad:
+        with pytest.raises(ValueError, match="certificate field"):
+            ce.RamseyCertificate.from_json(json.dumps({**raw, **changes}))
+    del raw["witnessCount"]
+    with pytest.raises(ValueError, match="witnessCount"):
+        ce.RamseyCertificate.from_json(json.dumps(raw))
+
+
 def test_verify_ignores_embedded_valid_bit():
     G = geo.polarity_graph(3)
     cert = ce.sample_and_delete(G, ForbiddenPattern.c4(), 6, 1.0, 0, "er", {"q": 3})

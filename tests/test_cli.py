@@ -231,3 +231,36 @@ def test_usage_and_version(capsys):
     code, out, _ = run(capsys, ["--version"])
     assert code == 0
     assert run(capsys, ["--help"])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [lambda c: [1], lambda c: {**c, "t": None}, lambda c: {**c, "deletionTrace": 5}],
+    ids=["top-level-list", "t-null", "trace-not-list"],
+)
+def test_verify_rejects_wrongly_shaped_certificate(capsys, tmp_path, mutate):
+    # each used to escape dispatch as a TypeError (a traceback)
+    cert = {
+        "family": "er", "params": {"p": 1.0, "q": 3}, "pattern": "c4", "t": 6,
+        "witnessCount": 13, "seed": 0, "deletionTrace": [], "valid": True,
+        "toolVersion": "0.1.0",
+    }
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert run(capsys, ["verify", "--cert", str(path)])[0] == 0
+    path.write_text(json.dumps(mutate(cert)))
+    code, out, err = run(capsys, ["verify", "--cert", str(path)])
+    assert code == 2 and out == "" and "certificate" in err
+
+
+@pytest.mark.parametrize(
+    "header", ['[1]', '{"n": 3.7}', '{"n": 100000000000}', '{"n": true}', '{"q": 3}'],
+)
+def test_check_rejects_malformed_graph_header(capsys, tmp_path, header):
+    # a list header was a TypeError, n = 3.7 or true was truncated to an int,
+    # and a huge n was a MemoryError; each must be a usage error before any
+    # allocation sized by n
+    path = tmp_path / "g.txt"
+    path.write_text(f"# {header}\n0 1\n1 2\n")
+    code, out, err = run(capsys, ["check", "--pattern", "c4", "--in", str(path)])
+    assert code == 2 and out == "" and "header" in err

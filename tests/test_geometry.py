@@ -162,8 +162,13 @@ def test_block_design_validation():
         geo.BlockDesign(pts, [(0, 1), (2, 3), (0, 2)])  # mixed point degrees
     with pytest.raises(ValueError):
         geo.BlockDesign(pts, [(0, 1), (0, 2, 3)])  # mixed block sizes
+    with pytest.raises(ValueError):
+        geo.BlockDesign(pts, [])  # no blocks
+    with pytest.raises(ValueError):
+        geo.BlockDesign(pts, [()])  # empty block
     D = geo.BlockDesign(pts, [(0, 1), (2, 3)])
     assert D.block_size == 2 and D.point_degree == 1 and not D.is_steiner()
+    assert isinstance(D, gc.LinearHypergraph) and D.edges == D.blocks == ((0, 1), (2, 3))
 
 
 # --- character graphs --------------------------------------------------------

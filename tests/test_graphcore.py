@@ -5,10 +5,16 @@ from __future__ import annotations
 import io
 import itertools
 import random
+import re
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ramseyforge import geometry as geo
 from ramseyforge import graphcore as gc
+from ramseyforge.gf import spec_for
 from ramseyforge.graphcore import ForbiddenPattern, Graph, LinearHypergraph
 
 
@@ -80,6 +86,8 @@ def test_hypergraph_validation():
         LinearHypergraph(4, [(0, 1, 2), (0, 3)])  # non-uniform
     with pytest.raises(ValueError):
         LinearHypergraph(3, [(0, 1, 1)])  # repeated vertex
+    with pytest.raises(ValueError, match=r"vertex pair \(1, 2\) lies in hyperedges 0 and 2"):
+        LinearHypergraph(5, [(0, 1, 2), (0, 3, 4), (4, 2, 1)])
     H = LinearHypergraph(5, [(0, 1, 2), (2, 3, 4)])
     assert H.r == 3 and H.degrees == (1, 1, 2, 1, 1)
     assert not H.is_regular()
@@ -321,6 +329,60 @@ def test_shadow_examples():
     assert S.edge_count == 6 and not S.has_edge(0, 3)
 
 
+@st.composite
+def uniform_hypergraphs(draw):
+    """Small uniform hypergraphs with distinct vertices per hyperedge; about
+    half of them repeat some vertex pair."""
+    n = draw(st.integers(2, 9))
+    r = draw(st.integers(1, min(n, 4)))
+    edge = st.lists(st.integers(0, n - 1), min_size=r, max_size=r, unique=True)
+    edges = draw(st.lists(edge, min_size=1, max_size=7))
+    return n, [tuple(e) for e in edges]
+
+
+def repeated_pairs(edges) -> set:
+    counts = Counter(p for e in edges for p in itertools.combinations(sorted(e), 2))
+    return {p for p, c in counts.items() if c > 1}
+
+
+@settings(max_examples=400, deadline=None)
+@given(uniform_hypergraphs())
+def test_linearity_matches_pair_count_oracle(case):
+    n, edges = case
+    repeated = repeated_pairs(edges)
+    if not repeated:
+        H = LinearHypergraph(n, edges)
+        every_pair = {p for e in edges for p in itertools.combinations(e, 2)}
+        assert gc.shadow_graph(H) == Graph.from_edges(n, every_pair)
+        return
+    with pytest.raises(ValueError) as info:
+        LinearHypergraph(n, edges)
+    # the message names a repeated pair and two hyperedges holding it
+    u, v, i, j = map(int, re.search(
+        r"vertex pair \((\d+), (\d+)\) lies in hyperedges (\d+) and (\d+)", str(info.value)
+    ).groups())
+    assert (u, v) in repeated and i < j
+    assert {u, v} <= set(edges[i]) and {u, v} <= set(edges[j])
+
+
+PG1_8 = geo.enumerate_pg_points(1, spec_for(8))  # 9 points
+
+
+@settings(max_examples=400, deadline=None)
+@given(uniform_hypergraphs())
+def test_block_design_matches_pair_count_oracle(case):
+    n, blocks = case
+    degrees = Counter(v for b in blocks for v in b)
+    regular = len({degrees[v] for v in range(n)}) == 1
+    if repeated_pairs(blocks) or not regular:
+        with pytest.raises(ValueError):
+            geo.BlockDesign(PG1_8[:n], blocks)
+        return
+    D = geo.BlockDesign(PG1_8[:n], blocks)
+    assert D.v == n and D.blocks == tuple(tuple(sorted(b)) for b in blocks)
+    assert D.block_size == len(blocks[0]) and D.point_degree == degrees[0]
+
+
 def test_strongly_free_single_edge():
     H = LinearHypergraph(4, [(0, 1, 2, 3)])
     assert gc.is_strongly_pattern_free(H, ForbiddenPattern.clique(3)) == (True, None)
@@ -375,3 +437,19 @@ def test_hypergraph_io_roundtrip():
 def test_read_graph_requires_header():
     with pytest.raises(ValueError):
         gc.read_graph(io.StringIO("0 1\n"))
+
+
+@pytest.mark.parametrize(
+    "header",
+    ['[1]', '{"n": 3.7}', '{"n": 100000000000}', '{"n": -1}', '{"n": true}', '{}', '{"n": "3"}'],
+)
+def test_readers_reject_malformed_header(header):
+    for reader in (gc.read_graph, gc.read_hypergraph):
+        with pytest.raises(ValueError, match="header"):
+            reader(io.StringIO(f"# {header}\n0 1\n"))
+
+
+def test_reader_vertex_cap():
+    assert gc.read_graph(io.StringIO('# {"n": 0}\n'))[0].n == 0
+    with pytest.raises(ValueError, match="header"):
+        gc.read_graph(io.StringIO(f'# {{"n": {gc.MAX_READ_VERTICES + 1}}}\n'))

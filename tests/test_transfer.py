@@ -85,6 +85,36 @@ def test_bichromatic_replays_bit_exact(unital3):
         assert cu != cv
 
 
+def pairwise_bichromatic(H, coloring):
+    """Reference: join each 0-slot vertex to each 1-slot vertex of every
+    hyperedge, pair by pair, refusing a pair kept twice."""
+    seen = set()
+    for edge, b in zip(H.edges, coloring.bits):
+        ones = [v for j, v in enumerate(edge) if b >> j & 1]
+        zeros = [v for j, v in enumerate(edge) if not b >> j & 1]
+        for u in zeros:
+            for v in ones:
+                pair = (min(u, v), max(u, v))
+                assert pair not in seen
+                seen.add(pair)
+    return gc.Graph.from_edges(H.n, seen)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_bichromatic_matches_pairwise_reference(q):
+    H = geo.unital_line_hypergraph(q)
+    for seed in range(150):
+        coloring = tr.random_coloring(H, seed)
+        assert tr.bichromatic_subgraph(H, coloring) == pairwise_bichromatic(H, coloring)
+    # the all-zero and all-one colorings keep nothing; a 1/r split keeps r-1 per edge
+    for bits in (0, (1 << H.r) - 1):
+        none = tr.EdgeColoring((bits,) * len(H.edges), 0)
+        assert tr.bichromatic_subgraph(H, none).edge_count == 0
+    one = tr.EdgeColoring((1,) * len(H.edges), 0)
+    assert tr.bichromatic_subgraph(H, one) == pairwise_bichromatic(H, one)
+    assert tr.bichromatic_subgraph(H, one).edge_count == len(H.edges) * (H.r - 1)
+
+
 def test_bichromatic_validation(unital3):
     with pytest.raises(ValueError):
         tr.bichromatic_subgraph(unital3, tr.EdgeColoring((0,), 0))
