@@ -44,9 +44,8 @@ class Graph:
         rows = tuple(rows)
         if len(rows) != n:
             raise ValueError("row count does not match n")
-        full = (1 << n) - 1
         for v, row in enumerate(rows):
-            if row & ~full:
+            if row >> n:
                 raise ValueError(f"row {v} has bits outside 0..{n - 1}")
             if row >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
@@ -377,14 +376,10 @@ def max_clique(G: Graph, budget: int | None = None) -> AlphaResult:
 
 
 def independence_number(G: Graph, budget: int | None = None) -> AlphaResult:
-    """Exact independence number with witness; on budget exhaustion returns a
-    certified interval flagged inexact.  Always >= the greedy Turan floor."""
-    comp = G.complement()
-    best, witness, status = _max_clique_search(comp, budget, None)
-    if status == "complete":
-        result = AlphaResult(best, best, witness, True)
-    else:
-        result = AlphaResult(best, _root_color_bound(comp), witness, False)
+    """Exact independence number with witness (the maximum clique of the
+    complement); on budget exhaustion returns a certified interval flagged
+    inexact.  Always >= the greedy Turan floor."""
+    result = max_clique(G.complement(), budget)
     floor = -(-G.n // ((max(G.degrees) if G.n else 0) + 1))
     if result.upper < floor:  # pragma: no cover - would be a solver bug
         raise AssertionError("independence bound fell below the Turan floor")
@@ -416,15 +411,23 @@ def find_independent_set(G: Graph, t: int, budget: int | None = None):
 
 
 def _find_c4(G: Graph) -> list[int] | None:
-    seen: dict[tuple[int, int], int] = {}
+    """A 4-cycle [a, w', b, w], or None.  G has a 4-cycle exactly when two
+    vertices a < b share two neighbours w' < w.  The centres w are scanned in
+    order; co[a] holds the vertices that share an earlier centre with a, so w
+    is the first centre at which a pair of its neighbours repeats, (a, b) is
+    the lexicographically first such pair, and w' is their only common
+    neighbour below w."""
+    rows = G.rows
+    co = [0] * G.n
     for w in range(G.n):
-        nbrs = list(_iter_bits(G.rows[w]))
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                pair = (nbrs[i], nbrs[j])
-                if pair in seen:
-                    return [pair[0], seen[pair], pair[1], w]
-                seen[pair] = w
+        row = rows[w]
+        for a in _iter_bits(row):
+            hit = (co[a] & row) >> (a + 1)
+            if hit:
+                b = a + (hit & -hit).bit_length()
+                both = rows[a] & rows[b]
+                return [a, (both & -both).bit_length() - 1, b, w]
+            co[a] |= row
     return None
 
 
@@ -562,21 +565,20 @@ def triangle_count(G: Graph) -> int:
     return total
 
 
-# --- independent set enumeration ---------------------------------------------
+# --- clique and independent set enumeration ---------------------------------
 
 ENUMERATION_LIMIT = 10**8
 
 
-def iter_independent_sets(G: Graph, t: int) -> Iterator[tuple[int, ...]]:
-    """All independent sets of size exactly t, in lexicographic order."""
-    if t < 0:
-        return
-    if t == 0:
-        yield ()
-        return
+def _iter_cliques(G: Graph, s: int, budget: int | None) -> Iterator[tuple[int, ...]]:
+    """All cliques of size exactly s, in lexicographic order."""
+    nodes = [0]
     chosen: list[int] = []
 
     def rec(cand: int, need: int) -> Iterator[tuple[int, ...]]:
+        nodes[0] += 1
+        if budget is not None and nodes[0] > budget:
+            raise UndecidedError(f"clique enumeration exhausted budget {budget}")
         if need == 0:
             yield tuple(chosen)
             return
@@ -586,10 +588,17 @@ def iter_independent_sets(G: Graph, t: int) -> Iterator[tuple[int, ...]]:
             v = (cand & -cand).bit_length() - 1
             cand ^= 1 << v
             chosen.append(v)
-            yield from rec(cand & ~G.rows[v], need - 1)
+            yield from rec(cand & G.rows[v], need - 1)
             chosen.pop()
 
-    yield from rec((1 << G.n) - 1, t)
+    yield from rec((1 << G.n) - 1, s)
+
+
+def iter_independent_sets(G: Graph, t: int) -> Iterator[tuple[int, ...]]:
+    """All independent sets of size exactly t, in lexicographic order: the
+    t-cliques of the complement."""
+    if t >= 0:
+        yield from _iter_cliques(G.complement(), t, None)
 
 
 def enumerate_independent_sets(G: Graph, t: int, limit: int = ENUMERATION_LIMIT) -> int:
@@ -631,92 +640,30 @@ def shadow_graph(H: LinearHypergraph) -> Graph:
     return Graph(H.n, _shadow_rows(H.n, H.edges))
 
 
-def _induced_piece_bipartite(copy_vertices: Sequence[int], copy_edges: set, inside) -> bool:
-    """2-color the subgraph of the copy induced by the vertices in `inside`."""
-    verts = [v for v in copy_vertices if v in inside]
-    adj = {v: [] for v in verts}
-    vset = set(verts)
-    for a, b in copy_edges:
-        if a in vset and b in vset:
-            adj[a].append(b)
-            adj[b].append(a)
-    color: dict[int, int] = {}
-    for start in verts:
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in color:
-                    color[v] = color[u] ^ 1
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
-
-
-def _iter_cliques(G: Graph, s: int, budget: int | None) -> Iterator[tuple[int, ...]]:
-    """All cliques of size exactly s, in lexicographic order."""
-    nodes = [0]
-    chosen: list[int] = []
-
-    def rec(cand: int, need: int) -> Iterator[tuple[int, ...]]:
-        nodes[0] += 1
-        if budget is not None and nodes[0] > budget:
-            raise UndecidedError(f"clique enumeration exhausted budget {budget}")
-        if need == 0:
-            yield tuple(chosen)
-            return
-        while cand:
-            if cand.bit_count() < need:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand ^= 1 << v
-            chosen.append(v)
-            yield from rec(cand & G.rows[v], need - 1)
-            chosen.pop()
-
-    yield from rec((1 << G.n) - 1, s)
-
-
 def is_strongly_pattern_free(
     H: LinearHypergraph, F: ForbiddenPattern, budget: int | None = None
 ) -> tuple[bool, list[int] | None]:
     """True iff every copy of F in the shadow graph has a hyperedge whose
     intersection with the copy induces (within the copy) a non-bipartite
-    subgraph.  On False, returns the violating copy's vertices."""
+    subgraph.  On False, returns the first violating copy's vertices.
+
+    The part of a copy that one hyperedge covers induces a clique when F is a
+    clique, so it is non-bipartite exactly when it has >= 3 vertices; when F
+    is an odd k-cycle it induces the whole cycle or a union of paths, so it is
+    non-bipartite exactly when it has all k.  A copy is therefore covered
+    exactly when some hyperedge holds `need` of its vertices."""
     if F.is_bipartite_pattern():
         raise ValueError("strong freeness is defined for non-bipartite patterns only")
     shadow = shadow_graph(H)
-    incidence = H.incidence()
-    edge_sets = [set(e) for e in H.edges]
-
-    def copy_is_covered(vertices: Sequence[int], copy_edges: set) -> bool:
-        candidate_edges: set[int] = set()
-        for v in vertices:
-            candidate_edges.update(incidence[v])
-        for idx in sorted(candidate_edges):
-            if not _induced_piece_bipartite(vertices, copy_edges, edge_sets[idx]):
-                return True
-        return False
-
+    masks = [sum(1 << v for v in e) for e in H.edges]
     if F.kind == "clique":
-        s = F.size
-        for copy in _iter_cliques(shadow, s, budget):
-            copy_edges = {(a, b) for i, a in enumerate(copy) for b in copy[i + 1 :]}
-            if not copy_is_covered(copy, copy_edges):
-                return False, list(copy)
-        return True, None
-
-    k = F.size
-    for cycle in _iter_cycles_exact(shadow, k, budget):
-        copy_edges = {
-            tuple(sorted((cycle[i], cycle[(i + 1) % k]))) for i in range(k)
-        }
-        if not copy_is_covered(cycle, copy_edges):
-            return False, cycle
+        need, copies = 3, _iter_cliques(shadow, F.size, budget)
+    else:
+        need, copies = F.size, _iter_cycles_exact(shadow, F.size, budget)
+    for copy in copies:
+        inside = sum(1 << v for v in copy)
+        if not any((mask & inside).bit_count() >= need for mask in masks):
+            return False, list(copy)
     return True, None
 
 
@@ -733,9 +680,11 @@ def write_graph(G: Graph, fh, header: dict | None = None) -> None:
         fh.write(f"{u} {v}\n")
 
 
-# Largest vertex count the edge-list readers accept (the same cap as
-# geometry.MAX_POINTS), so a hostile header cannot ask for a huge allocation.
-MAX_READ_VERTICES = 1_000_000
+# Largest vertex count the edge-list readers accept.  Each Graph row is an
+# n-bit int, so n edge lines that all touch vertex n - 1 cost about n^2/8
+# bytes; 2^15 keeps that worst case at 128 MiB.  The largest graph the tool
+# builds, ER_81, has 6643 vertices.
+MAX_READ_VERTICES = 2**15
 
 
 def _read_edge_list(fh, kind: str) -> tuple[dict, Iterator[list[str]]]:

@@ -264,3 +264,15 @@ def test_check_rejects_malformed_graph_header(capsys, tmp_path, header):
     path.write_text(f"# {header}\n0 1\n1 2\n")
     code, out, err = run(capsys, ["check", "--pattern", "c4", "--in", str(path)])
     assert code == 2 and out == "" and "header" in err
+
+
+def test_check_vertex_cap(capsys, tmp_path):
+    # a row is an n-bit int, so the cap of 2^15 vertices bounds the rows of
+    # a hostile edge list at 128 MiB
+    path = tmp_path / "g.txt"
+    path.write_text('# {"n": 32769}\n')
+    code, out, err = run(capsys, ["check", "--pattern", "c4", "--in", str(path)])
+    assert code == 2 and out == "" and "header" in err
+    path.write_text('# {"n": 32768}\n')
+    code, out, _ = run(capsys, ["check", "--pattern", "c4", "--in", str(path)])
+    assert code == 0 and json.loads(out) == {"pattern": "c4", "free": True, "witness": None}

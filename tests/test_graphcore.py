@@ -6,6 +6,8 @@ import io
 import itertools
 import random
 import re
+import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -61,6 +63,18 @@ def test_graph_validation():
         Graph.from_edges(2, [(0, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 5)])
+    for row in (1 << 3, -1):
+        with pytest.raises(ValueError, match="outside"):
+            Graph(3, [0, row, 0])
+
+
+def test_graph_init_linear_on_empty_rows():
+    # the range check must cost O(1) on an empty row: an n-bit mask per row
+    # makes an empty graph quadratic in n
+    start = time.perf_counter()
+    G = Graph(300_000, [0] * 300_000)
+    assert time.perf_counter() - start < 1.0
+    assert G.edge_count == 0
 
 
 def test_graph_accessors():
@@ -241,6 +255,21 @@ def test_iter_independent_sets_lexicographic():
     assert len(sets) == gc.enumerate_independent_sets(G, 2)
     for s in sets:
         assert G.subgraph_edge_count(sum(1 << v for v in s)) == 0
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(0, 11)
+        G = random_graph(n, rng.uniform(0.1, 0.9), rng)
+        alpha = brute_alpha(G)
+        assert list(gc.iter_independent_sets(G, -1)) == []
+        assert list(gc.iter_independent_sets(G, 0)) == [()]
+        assert list(gc.iter_independent_sets(G, alpha + 1)) == []
+        for t in range(1, alpha + 1):
+            expected = [
+                c
+                for c in itertools.combinations(range(n), t)
+                if G.subgraph_edge_count(sum(1 << v for v in c)) == 0
+            ]
+            assert list(gc.iter_independent_sets(G, t)) == expected
 
 
 def test_enumeration_limit_guard():
@@ -265,6 +294,55 @@ def test_c4_pattern():
     assert not free and gc.validate_witness(K22, ForbiddenPattern.c4(), w)
     assert gc.is_pattern_free(petersen(), ForbiddenPattern.c4()) == (True, None)
     assert gc.is_pattern_free(cycle_graph(4), ForbiddenPattern.c4())[0] is False
+
+
+def pair_dict_c4(G: Graph):
+    """Reference 4-cycle search: record each pair of neighbours of every
+    centre w in a dict; the first pair seen twice closes a 4-cycle."""
+    seen = {}
+    for w in range(G.n):
+        nbrs = G.neighbors(w)
+        for i in range(len(nbrs)):
+            for j in range(i + 1, len(nbrs)):
+                pair = (nbrs[i], nbrs[j])
+                if pair in seen:
+                    return [pair[0], seen[pair], pair[1], w]
+                seen[pair] = w
+    return None
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [p for p, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_graphs())
+def test_c4_matches_common_neighbour_scan(G):
+    has_c4 = any(
+        (G.row(a) & G.row(b)).bit_count() >= 2 for a, b in itertools.combinations(range(G.n), 2)
+    )
+    free, witness = gc.is_pattern_free(G, ForbiddenPattern.c4())
+    assert free == (not has_c4)
+    assert witness == pair_dict_c4(G)
+    if not free:
+        assert gc.validate_witness(G, ForbiddenPattern.c4(), witness)
+
+
+def test_c4_check_memory():
+    # storing every pair of neighbours of every centre takes 13 MB here;
+    # one common-neighbour mask per vertex takes well under 2 MB
+    G = geo.polarity_graph(23)
+    tracemalloc.start()
+    try:
+        assert gc.is_pattern_free(G, ForbiddenPattern.c4()) == (True, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_odd_cycle_pattern():
@@ -381,6 +459,80 @@ def test_block_design_matches_pair_count_oracle(case):
     D = geo.BlockDesign(PG1_8[:n], blocks)
     assert D.v == n and D.blocks == tuple(tuple(sorted(b)) for b in blocks)
     assert D.block_size == len(blocks[0]) and D.point_degree == degrees[0]
+
+
+@st.composite
+def linear_hypergraphs(draw):
+    """Small uniform linear hypergraphs: of up to 30 random r-sets, those
+    that repeat no vertex pair of an earlier one."""
+    n = draw(st.integers(3, 10))
+    r = draw(st.integers(2, min(n, 5)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kept = []
+    for _ in range(draw(st.integers(1, 30))):
+        e = rng.sample(range(n), r)
+        if all(len(set(e) & set(f)) <= 1 for f in kept):
+            kept.append(e)
+    return LinearHypergraph(n, kept)
+
+
+def induced_piece_bipartite(copy_vertices, copy_edges, inside) -> bool:
+    """2-color the subgraph of the copy induced by the vertices in `inside`."""
+    verts = [v for v in copy_vertices if v in inside]
+    adj = {v: [] for v in verts}
+    vset = set(verts)
+    for a, b in copy_edges:
+        if a in vset and b in vset:
+            adj[a].append(b)
+            adj[b].append(a)
+    color = {}
+    for start in verts:
+        if start in color:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if v not in color:
+                    color[v] = color[u] ^ 1
+                    stack.append(v)
+                elif color[v] == color[u]:
+                    return False
+    return True
+
+
+def two_coloring_strong_freeness(H: LinearHypergraph, F: ForbiddenPattern):
+    """Reference: list the copies of F in the shadow in the library's order
+    (cliques lexicographic; cycles from their smallest vertex, second vertex
+    below the last) and call a copy covered when some hyperedge's part of it
+    is not 2-colourable."""
+    shadow = gc.shadow_graph(H)
+    k = F.size
+    if F.kind == "clique":
+        copies = [
+            c for c in itertools.combinations(range(H.n), k)
+            if all(shadow.has_edge(a, b) for a, b in itertools.combinations(c, 2))
+        ]
+        edge_sets = [set(itertools.combinations(c, 2)) for c in copies]
+    else:
+        copies = [
+            p for p in itertools.permutations(range(H.n), k)
+            if p[0] == min(p) and p[1] < p[-1]
+            and all(shadow.has_edge(p[i], p[(i + 1) % k]) for i in range(k))
+        ]
+        edge_sets = [{tuple(sorted((c[i], c[(i + 1) % k]))) for i in range(k)} for c in copies]
+    for copy, copy_edges in zip(copies, edge_sets):
+        if all(induced_piece_bipartite(copy, copy_edges, set(e)) for e in H.edges):
+            return False, list(copy)
+    return True, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_hypergraphs(), st.sampled_from(["k3", "k4", "c3", "c5"]))
+def test_strong_freeness_matches_two_coloring(H, name):
+    F = ForbiddenPattern.parse(name)
+    assert gc.is_strongly_pattern_free(H, F) == two_coloring_strong_freeness(H, F)
 
 
 def test_strongly_free_single_edge():
