@@ -25,7 +25,6 @@ from .graphcore import (
     Graph,
     UndecidedError,
     find_independent_set,
-    independence_number,
     is_pattern_free,
     is_strongly_pattern_free,
 )
@@ -148,17 +147,6 @@ def build_family(family: str, params: dict) -> Graph:
     raise ValueError(f"unknown certificate family {family!r}")
 
 
-def _check_witness(G: Graph, vertices, F: ForbiddenPattern, t: int, budget):
-    """(pattern_free, alpha_less_than_t, undecided) for G[vertices]."""
-    sub = G.induced(vertices)
-    try:
-        free, _ = is_pattern_free(sub, F, budget)
-        alpha_ok = find_independent_set(sub, t, budget) is None
-    except UndecidedError:
-        return None, None, True
-    return free, alpha_ok, False
-
-
 def sample_and_delete(
     G: Graph,
     F: ForbiddenPattern,
@@ -248,8 +236,11 @@ def verify_certificate(
             "INVALID", None, None, False,
             f"witness has {len(alive)} vertices, certificate says {cert.witness_count}",
         )
-    free, alpha_ok, undecided = _check_witness(G, alive, F, cert.t, budget)
-    if undecided:
+    sub = G.induced(alive)
+    try:
+        free, _ = is_pattern_free(sub, F, budget)
+        alpha_ok = find_independent_set(sub, cert.t, budget) is None
+    except UndecidedError:
         return VerificationResult("UNVERIFIED", None, None, True, "exact checks exceeded budget")
     if free and alpha_ok:
         return VerificationResult("VALID", True, True, True, f"claim {cert.claim()} replayed")
@@ -268,7 +259,8 @@ def pipeline_unital(
 ) -> RamseyCertificate:
     """Color the unital line hypergraph `trials` times, certify each colored
     graph k4-free with independence number < t, and return the certificate
-    with the largest witness (ties to the smallest trial seed)."""
+    with the largest witness (ties to the smallest trial seed).  The last
+    round of each trial's deletion loop is its one proof of alpha < t."""
     if q not in PIPELINE_ORDERS:
         raise ValueError(f"q must be one of {PIPELINE_ORDERS}")
     if trials < 1:
@@ -288,13 +280,10 @@ def pipeline_unital(
     for i in range(trials):
         trial_seed = derive_seed(seed, i)
         G = bichromatic_subgraph(H, random_coloring(H, trial_seed))
-        alpha = independence_number(G).value
         cert = sample_and_delete(
             G, k4, t, 1.0, trial_seed, "unital-transfer", {"q": q, "colorSeed": trial_seed},
             budget=budget,
         )
-        if (alpha < t) != (not cert.deletion_trace):  # pragma: no cover - solver bug
-            raise AssertionError("deletion loop disagrees with the exact independence number")
         key = (cert.witness_count, -trial_seed)
         if best_key is None or key > best_key:
             best, best_key = cert, key

@@ -100,12 +100,8 @@ class Graph:
         if any(b <= a for a, b in zip(vs, vs[1:])):
             raise ValueError("vertices must be strictly increasing")
         pos = {v: i for i, v in enumerate(vs)}
-        rows = [0] * len(vs)
-        for i, v in enumerate(vs):
-            row = self.rows[v]
-            for u in vs:
-                if row >> u & 1:
-                    rows[i] |= 1 << pos[u]
+        mask = sum(1 << v for v in vs)
+        rows = [sum(1 << pos[u] for u in _iter_bits(self.rows[v] & mask)) for v in vs]
         return Graph(len(vs), rows)
 
     def complement(self) -> "Graph":
@@ -309,27 +305,29 @@ def _expand(R: list[int], P: int, adj: Sequence[int], st: _SearchState) -> None:
         P &= ~(1 << v)
 
 
-def _max_clique_search(G: Graph, budget: int | None, target: int | None):
-    """Branch-and-bound maximum clique with greedy-coloring bounds.
+def _max_clique_search(G: Graph, budget: int | None, target: int | None, complement: bool = False):
+    """Branch-and-bound maximum clique with greedy-coloring bounds, of G or,
+    with complement=True, of its complement (a maximum independent set).
 
     Returns (best, best_set_in_input_labels, status) where status is
     'complete', 'target' (early stop at target size) or 'budget'.
-    Vertices are relabeled by descending degree (ties by index), which fixes
-    the search tree and therefore the witness deterministically.
+    Vertices are relabeled by descending degree in the searched graph (ties
+    by index), which fixes the search tree and therefore the witness
+    deterministically.  The complement is never built: G's own sparse rows
+    are relabeled, then each relabeled row is complemented.
     """
     n = G.n
     if n == 0:
         return 0, (), "complete"
-    perm = sorted(range(n), key=lambda v: (-G.degrees[v], v))
-    inv = [0] * n
-    for new, old in enumerate(perm):
-        inv[old] = new
+    sign = 1 if complement else -1
+    perm = sorted(range(n), key=lambda v: (sign * G.degrees[v], v))
+    inv = sorted(range(n), key=perm.__getitem__)  # inv[old] = new
     adj = [0] * n
-    for old in range(n):
-        row = 0
-        for u in _iter_bits(G.rows[old]):
-            row |= 1 << inv[u]
-        adj[inv[old]] = row
+    for old, row in enumerate(G.rows):
+        adj[inv[old]] = sum(1 << inv[u] for u in _iter_bits(row))
+    if complement:
+        full = (1 << n) - 1
+        adj = [full ^ row ^ (1 << i) for i, row in enumerate(adj)]
     st = _SearchState(budget, target)
     status = "complete"
     try:
@@ -340,13 +338,6 @@ def _max_clique_search(G: Graph, budget: int | None, target: int | None):
         status = "budget"
     witness = tuple(sorted(perm[v] for v in st.best_set))
     return st.best, witness, status
-
-
-def _root_color_bound(G: Graph) -> int:
-    if G.n == 0:
-        return 0
-    _, colors = _color_order((1 << G.n) - 1, G.rows)
-    return colors[-1] if colors else 0
 
 
 @dataclass(frozen=True)
@@ -368,34 +359,45 @@ class AlphaResult:
         return self.lower
 
 
-def max_clique(G: Graph, budget: int | None = None) -> AlphaResult:
-    best, witness, status = _max_clique_search(G, budget, None)
+def _clique_number(G: Graph, budget: int | None, complement: bool) -> AlphaResult:
+    best, witness, status = _max_clique_search(G, budget, None, complement)
     if status == "complete":
         return AlphaResult(best, best, witness, True)
-    return AlphaResult(best, _root_color_bound(G), witness, False)
+    # the colors of a greedy coloring of the searched graph bound its
+    # clique number; G.n > 0 here, as the empty graph always completes
+    full = (1 << G.n) - 1
+    rows = [full ^ row ^ (1 << v) for v, row in enumerate(G.rows)] if complement else G.rows
+    return AlphaResult(best, _color_order(full, rows)[1][-1], witness, False)
+
+
+def max_clique(G: Graph, budget: int | None = None) -> AlphaResult:
+    return _clique_number(G, budget, False)
 
 
 def independence_number(G: Graph, budget: int | None = None) -> AlphaResult:
     """Exact independence number with witness (the maximum clique of the
     complement); on budget exhaustion returns a certified interval flagged
     inexact.  Always >= the greedy Turan floor."""
-    result = max_clique(G.complement(), budget)
+    result = _clique_number(G, budget, True)
     floor = -(-G.n // ((max(G.degrees) if G.n else 0) + 1))
     if result.upper < floor:  # pragma: no cover - would be a solver bug
         raise AssertionError("independence bound fell below the Turan floor")
     return result
 
 
-def find_clique(G: Graph, s: int, budget: int | None = None) -> tuple[int, ...] | None:
-    """A clique of size s (canonically ordered) or None; raises UndecidedError
-    if the budget ran out before the search was decided."""
+def _find_clique(G: Graph, s: int, budget: int | None, complement: bool):
     if s <= 0:
         return ()
     if s == 1:
         return (0,) if G.n else None
-    if s == 2:
-        return next(G.edges(), None)
-    best, witness, status = _max_clique_search(G, budget, s)
+    if s == 2:  # the lexicographically first edge of the searched graph
+        flip = (1 << G.n) - 1 if complement else 0
+        for u, row in enumerate(G.rows):
+            rest = (row ^ flip) >> (u + 1)
+            if rest:
+                return u, u + (rest & -rest).bit_length()
+        return None
+    best, witness, status = _max_clique_search(G, budget, s, complement)
     if status == "target" or best >= s:
         return tuple(sorted(witness[:s])) if len(witness) > s else witness
     if status == "budget":
@@ -403,8 +405,15 @@ def find_clique(G: Graph, s: int, budget: int | None = None) -> tuple[int, ...] 
     return None
 
 
+def find_clique(G: Graph, s: int, budget: int | None = None) -> tuple[int, ...] | None:
+    """A clique of size s (canonically ordered) or None; raises UndecidedError
+    if the budget ran out before the search was decided."""
+    return _find_clique(G, s, budget, False)
+
+
 def find_independent_set(G: Graph, t: int, budget: int | None = None):
-    return find_clique(G.complement(), t, budget)
+    """An independent set of size t (a t-clique of the complement), or None."""
+    return _find_clique(G, t, budget, True)
 
 
 # --- forbidden patterns ------------------------------------------------------
@@ -492,6 +501,8 @@ def _bfs_dist(adj: Sequence[int], n: int, src: int, allowed: int) -> list[int]:
 def _iter_cycles_exact(G: Graph, k: int, budget: int | None) -> Iterator[list[int]]:
     """All simple cycles of length exactly k, canonically: smallest vertex
     first, second vertex smaller than the last (one orientation per cycle)."""
+    if k > G.n:  # a simple k-cycle needs k distinct vertices
+        return
     nodes = [0]
     full = (1 << G.n) - 1
     for s in range(G.n):

@@ -190,6 +190,22 @@ def test_pipeline_unital_forced_deletions():
     assert again == best
 
 
+def test_pipeline_unital_proves_alpha_once(monkeypatch):
+    # one clique search for the ambient k4 check, then one independence
+    # search per deletion round and one that proves alpha < t
+    searched = []
+    search = gc._max_clique_search
+
+    def counted(G, budget, target, complement=False):
+        searched.append(complement)
+        return search(G, budget, target, complement)
+
+    monkeypatch.setattr(gc, "_max_clique_search", counted)
+    cert = ce.pipeline_unital(3, 1, 7, t=12)
+    assert cert.valid and cert.deletion_trace
+    assert searched == [False] + [True] * (len(cert.deletion_trace) + 1)
+
+
 def test_pipeline_guards():
     with pytest.raises(ValueError):
         ce.pipeline_unital(5, 1, 0)

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import re
+import time
 
 import pytest
 
@@ -222,6 +223,42 @@ def test_certify_families(capsys):
                                 "--pattern", "triangle", "--t", "4"])
     assert code == 0 and json.loads(out)["valid"] is True
     assert run(capsys, ["certify", "--family", "bip", "--q", "5", "--pattern", "triangle"])[0] == 2
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["--family", "er", "--q", "7", "--pattern", "c4"],
+         "23190e73f436e8afd3195782c9ec44b657a316ccee1fe38a18ced3b61a155710"),
+        (["--family", "bip", "--q", "11", "--s", "2", "--pattern", "k3"],
+         "54d4566133e00ae5bac5757a1c4f2f49158bbe1eac58a9e60276f4fb11b088a0"),
+        (["--family", "er", "--q", "13", "--p", "0.5", "--t", "26", "--seed", "3"],
+         "e697e3619894f6fb1635cb02e1e2c48d27794d683d2df01d267ed27fee95385a"),
+        (["--family", "er", "--q", "13", "--p", "0.5", "--t", "26", "--seed", "11"],
+         "2f9256218d5462893172e057d2df4ce55838e5d5d17c22af8184d6ded808746d"),
+        (["--family", "unital-transfer", "--q", "3", "--trials", "4", "--seed", "7", "--t", "12"],
+         "57f046a1a72d9002599ed6cac513cbc9661603bb1851bfc6c54b870bf3112eac"),
+    ],
+)
+def test_certificate_bytes_pinned(capsys, tmp_path, args, digest):
+    # the certificate bytes are fixed by the witness and deletion choices of
+    # the exact searches, so they pin those searches
+    path = tmp_path / "cert.json"
+    assert run(capsys, ["certify", *args, "--out", str(path)])[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_verify_odd_cycle_longer_than_witness(capsys, tmp_path):
+    # c59 cannot occur on the 57 vertices of ER_7, so the claim holds
+    # trivially and the replay must not walk the graph's paths for it
+    cert = {"family": "er", "params": {"q": 7, "p": 1.0}, "pattern": "c59", "t": 16,
+            "witnessCount": 57, "seed": 0, "deletionTrace": [], "valid": True, "toolVersion": "0.1.0"}
+    path = tmp_path / "c59.json"
+    path.write_text(json.dumps(cert))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["verify", "--cert", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["status"] == "VALID"
 
 
 def test_usage_and_version(capsys):

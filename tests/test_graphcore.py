@@ -77,6 +77,18 @@ def test_graph_init_linear_on_empty_rows():
     assert G.edge_count == 0
 
 
+def test_induced_matches_pair_scan():
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(0, 30)
+        G = random_graph(n, rng.random(), rng)
+        vs = sorted(rng.sample(range(n), rng.randint(0, n)))
+        want = [(i, j) for i, a in enumerate(vs) for j, b in enumerate(vs) if i < j and G.has_edge(a, b)]
+        assert list(G.induced(vs).edges()) == want
+    with pytest.raises(ValueError):
+        petersen().induced([2, 1])
+
+
 def test_graph_accessors():
     G = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert G.degrees == (1, 2, 2, 1)
@@ -211,6 +223,47 @@ def test_budget_interval_clique_bound_from_graph():
         res = gc.max_clique(G, budget=1)
         assert not res.exact
         assert res.lower <= omega <= res.upper
+
+
+def test_independence_queries_build_no_complement(monkeypatch):
+    def refuse(self):
+        raise AssertionError("complement graph built")
+
+    monkeypatch.setattr(Graph, "complement", refuse)
+    assert gc.independence_number(complete_tripartite(10)).value == 10
+    res = gc.independence_number(complete_tripartite(10), budget=1)
+    assert not res.exact and res.upper >= 10
+    G = random_graph(30, 0.4, random.Random(8))
+    for t in (0, 1, 2, 3, 6):
+        assert len(gc.find_independent_set(G, t)) == t
+    assert gc.find_independent_set(complete_graph(5), 2) is None
+
+
+def test_independence_equals_clique_of_complement():
+    # the complement is searched inside the search frame; every answer,
+    # witness, interval and budget outcome must equal the search on the
+    # complement graph
+    undecided = []
+
+    def outcome(query, *args):
+        try:
+            return query(*args)
+        except gc.UndecidedError as exc:
+            undecided.append(exc)
+            return str(exc)
+
+    rng = random.Random(2024)
+    for _ in range(300):
+        n = rng.randint(0, 40)
+        G = random_graph(n, rng.uniform(0.05, 0.95), rng)
+        C = G.complement()
+        alpha = gc.independence_number(G).value
+        for budget in (None, 1, 3, 50):
+            assert gc.independence_number(G, budget) == gc.max_clique(C, budget)
+            for t in range(alpha + 2):
+                got = outcome(gc.find_independent_set, G, t, budget)
+                assert got == outcome(gc.find_clique, C, t, budget)
+    assert undecided
 
 
 def test_find_clique_and_independent_set():
@@ -381,6 +434,17 @@ def test_odd_cycle_matches_brute_force():
             assert free == (not brute)
             if not free:
                 assert gc.validate_witness(G, ForbiddenPattern.odd_cycle(k), w)
+
+
+def test_odd_cycle_longer_than_graph_is_not_searched():
+    # a simple k-cycle needs k vertices, so these are decided without a search
+    start = time.perf_counter()
+    assert gc.is_pattern_free(geo.polarity_graph(4), ForbiddenPattern.odd_cycle(23)) == (True, None)
+    H = geo.unital_line_hypergraph(3)
+    assert H.n == 63
+    assert gc.is_strongly_pattern_free(H, ForbiddenPattern.odd_cycle(65)) == (True, None)
+    assert time.perf_counter() - start < 1.0
+    assert gc.is_pattern_free(cycle_graph(7), ForbiddenPattern.odd_cycle(7))[0] is False
 
 
 def test_triangle_count_matches_spectra_free_reference():
