@@ -147,6 +147,14 @@ def build_family(family: str, params: dict) -> Graph:
     raise ValueError(f"unknown certificate family {family!r}")
 
 
+def check_ambient(G: Graph, F: ForbiddenPattern, budget: int | None = None) -> None:
+    """Raise ValueError unless G is F-free: every witness is an induced
+    subgraph of G, so no certificate exists over an ambient copy of F."""
+    free, witness = is_pattern_free(G, F, budget)
+    if not free:
+        raise ValueError(f"ambient graph contains {F.name}: {witness}")
+
+
 def sample_and_delete(
     G: Graph,
     F: ForbiddenPattern,
@@ -167,9 +175,7 @@ def sample_and_delete(
     """
     if t < 1:
         raise ValueError("need t >= 1")
-    free, witness = is_pattern_free(G, F, budget)
-    if not free:
-        raise ValueError(f"ambient graph contains {F.name}: {witness}")
+    check_ambient(G, F, budget)
     alive = sampled_vertices(G.n, p, seed)
     trace: list[int] = []
     undecided = False

@@ -26,6 +26,7 @@ from typing import Sequence
 from . import __version__
 from .certify import (
     RamseyCertificate,
+    check_ambient,
     pipeline_unital,
     sample_and_delete,
     verify_certificate,
@@ -246,7 +247,10 @@ def _cmd_certify(args, run: _Run) -> int:
             params = {"q": args.q, "s": args.s, "variant": args.variant}
             pattern = args.pattern
         F = ForbiddenPattern.parse(pattern)
-        t = args.t if args.t is not None else independence_number(G, budget).value + 1
+        t = args.t
+        if t is None:  # settle the ambient pattern before the costly alpha
+            check_ambient(G, F, budget)
+            t = independence_number(G, budget).value + 1
         cert = sample_and_delete(G, F, t, args.p, args.seed, args.family, params, budget=budget)
     _emit(cert.to_json() + "\n", args, run)
     return EXIT_OK if cert.valid else EXIT_FAIL

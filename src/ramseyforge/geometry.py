@@ -76,42 +76,50 @@ class ProjectivePoint:
         return f"({inner})"
 
 
-def enumerate_pg_points(dim: int, spec: FieldSpec) -> list[ProjectivePoint]:
-    """All points of PG(dim, q), in canonical lexicographic order on the
-    normalized coordinate tuples (field elements in canonical order)."""
+def _point_rows(dim: int, spec: FieldSpec) -> np.ndarray:
+    """Element-index rows of the points of PG(dim, q), each normalized so
+    that its first nonzero entry is one.  Canonical order: the leading one
+    moves from the last position to the first, and for each position the
+    entries after it run lexicographically in index order."""
     if dim < 1:
         raise ValueError("dimension must be >= 1")
     q = spec.q
     count = (q ** (dim + 1) - 1) // (q - 1)
     if count > MAX_POINTS:
         raise ValueError(f"PG({dim},{q}) has {count} points, over the cap {MAX_POINTS}")
-    elems = list(spec.elements())
-    zero, one = spec.zero(), spec.one()
-    points = []
-    # ascending lex order = descending position of the leading one
+    one = spec.index(spec.one())
+    blocks = []
     for lead in range(dim, -1, -1):
-        head = (zero,) * lead + (one,)
-        for tail in itertools.product(elems, repeat=dim - lead):
-            points.append(ProjectivePoint(head + tail))
-    assert len(points) == count
-    return points
+        tails = np.array(list(itertools.product(range(q), repeat=dim - lead)), dtype=np.int32)
+        block = np.zeros((len(tails), dim + 1), dtype=np.int32)
+        block[:, lead] = one
+        block[:, lead + 1 :] = tails
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def _points(rows: np.ndarray, spec: FieldSpec) -> list[ProjectivePoint]:
+    elems = [spec.element_at(i) for i in range(spec.q)]
+    return [ProjectivePoint([elems[i] for i in row]) for row in rows.tolist()]
+
+
+def enumerate_pg_points(dim: int, spec: FieldSpec) -> list[ProjectivePoint]:
+    """All points of PG(dim, q), in canonical lexicographic order on the
+    normalized coordinate tuples (field elements in canonical order)."""
+    return _points(_point_rows(dim, spec), spec)
 
 
 # -- table-driven bilinear forms ------------------------------------------
 #
-# All adjacency loops below run on element *indices* in the canonical order
-# (index 0 is the zero element) so numpy can gather through the add/mul
-# tables instead of doing polynomial arithmetic point by point.
+# Every construction below runs on element *indices* in the canonical order
+# (index 0 is the zero element): the forms are evaluated on the rows of
+# _point_rows by gathering through the add/mul tables, and point objects are
+# built only for what a function returns.
 
 
 def _np_tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     t = op_tables(spec)
     return np.array(t.add, dtype=np.int32), np.array(t.mul, dtype=np.int32)
-
-
-def _index_matrix(points: Sequence[ProjectivePoint], spec: FieldSpec) -> np.ndarray:
-    idx = spec.index
-    return np.array([[idx(c) for c in pt.coords] for pt in points], dtype=np.int32)
 
 
 def _form_diagonal(P, weights, add, mul) -> np.ndarray:
@@ -143,35 +151,33 @@ def _pack_row(bits: np.ndarray) -> int:
 # -- polarity graph ---------------------------------------------------------
 
 
+def _polarity_setup(q) -> tuple[FieldSpec, np.ndarray, tuple[int, int, int]]:
+    """GF(q), the point rows of PG(2, q), and the weights of the dot product."""
+    spec = spec_for(q)
+    if spec.q > MAX_POLARITY_ORDER:
+        raise ValueError(f"polarity graph supported for q <= {MAX_POLARITY_ORDER}")
+    one = spec.index(spec.one())
+    return spec, _point_rows(2, spec), (one, one, one)
+
+
 def polarity_graph(q) -> Graph:
     """Orthogonal polarity graph on the points of PG(2, q): u ~ v iff
     u.v = 0.  Self-orthogonal (absolute) points keep their vertex but lose
     the loop, so q+1 vertices have degree q and the rest degree q+1."""
-    spec = spec_for(q)
-    if spec.q > MAX_POLARITY_ORDER:
-        raise ValueError(f"polarity graph supported for q <= {MAX_POLARITY_ORDER}")
-    points = enumerate_pg_points(2, spec)
-    P = _index_matrix(points, spec)
+    spec, P, dot = _polarity_setup(q)
     add, mul = _np_tables(spec)
-    one = spec.index(spec.one())
     rows = []
-    for i, acc in _form_rows(P, P, (one, one, one), add, mul):
+    for i, acc in _form_rows(P, P, dot, add, mul):
         bits = acc == 0
         bits[i] = False
         rows.append(_pack_row(bits))
-    return Graph(len(points), rows)
+    return Graph(len(P), rows)
 
 
 def polarity_absolute_points(q) -> tuple[int, ...]:
     """Vertex indices of the absolute points (u.u = 0) of polarity_graph(q)."""
-    spec = spec_for(q)
-    if spec.q > MAX_POLARITY_ORDER:
-        raise ValueError(f"polarity graph supported for q <= {MAX_POLARITY_ORDER}")
-    out = []
-    for i, pt in enumerate(enumerate_pg_points(2, spec)):
-        if not sum((c * c for c in pt.coords), spec.zero()):
-            out.append(i)
-    return tuple(out)
+    spec, P, dot = _polarity_setup(q)
+    return tuple(np.flatnonzero(_form_diagonal(P, dot, *_np_tables(spec)) == 0).tolist())
 
 
 # -- Hermitian unital -------------------------------------------------------
@@ -227,8 +233,7 @@ def hermitian_unital(q) -> BlockDesign:
         raise ValueError(f"hermitian unital supported for q <= {MAX_UNITAL_ORDER}")
     q = spec0.q
     spec = spec_for(q * q)
-    points = enumerate_pg_points(2, spec)
-    P = _index_matrix(points, spec)
+    P = _point_rows(2, spec)
     add, mul = _np_tables(spec)
     norm_idx = np.array(
         [spec.index(conjugate_norm(e)) for e in spec.elements()], dtype=np.int32
@@ -238,7 +243,6 @@ def hermitian_unital(q) -> BlockDesign:
     curve = np.nonzero(on_curve)[0]
     if len(curve) != q**3 + 1:
         raise AssertionError(f"curve has {len(curve)} points, expected {q**3 + 1}")
-    curve_points = [points[int(i)] for i in curve]
     R = P[curve]
 
     # every line of PG(2,q^2), taken as a dual coordinate vector, meets the
@@ -252,7 +256,7 @@ def hermitian_unital(q) -> BlockDesign:
         if len(hits) != q + 1:
             raise AssertionError(f"line meets curve in {len(hits)} points")
         blocks.append(tuple(int(t) for t in hits))
-    design = BlockDesign(curve_points, blocks)
+    design = BlockDesign(_points(R, spec), blocks)
     if len(design.blocks) != q * q * (q * q - q + 1) or not design.is_steiner():
         raise AssertionError("unital block structure is not a 2-design")
     return design
@@ -268,17 +272,28 @@ def unital_line_hypergraph(q) -> LinearHypergraph:
 # -- quadratic-character graphs ---------------------------------------------
 
 
+def _square_type(q, s: int) -> tuple[FieldSpec, np.ndarray, tuple[int, ...]]:
+    """GF(q), the rows of the square-type points x of PG(s, q), those with
+    chi(Q(x, x)) = 1, and the weights of Q(x, y) = a*x0*y0 + x1*y1 + ... +
+    xs*ys with a the least non-residue."""
+    spec = spec_for(q)
+    if spec.q % 2 == 0:
+        raise ValueError("the character graph needs an odd field order")
+    if spec.q > MAX_CHARACTER_ORDER:
+        raise ValueError(f"character graph supported for q <= {MAX_CHARACTER_ORDER}")
+    if not 1 <= s <= MAX_CHARACTER_DIM:
+        raise ValueError(f"s must be in 1..{MAX_CHARACTER_DIM}")
+    weights = (spec.index(smallest_nonresidue(spec)),) + (spec.index(spec.one()),) * s
+    P = _point_rows(s, spec)
+    chi = np.array(op_tables(spec).chi, dtype=np.int8)
+    return spec, P[chi[_form_diagonal(P, weights, *_np_tables(spec))] == 1], weights
+
+
 def bip_vertex_points(q, s: int) -> list[ProjectivePoint]:
     """Canonical representatives x in PG(s, q) with chi(Q(x, x)) = 1, for
     Q(x, y) = a*x0*y0 + x1*y1 + ... + xs*ys with a the least non-residue."""
-    spec = _character_spec(q, s)
-    points = enumerate_pg_points(s, spec)
-    P = _index_matrix(points, spec)
-    add, mul = _np_tables(spec)
-    chi = np.array(op_tables(spec).chi, dtype=np.int8)
-    diag = _form_diagonal(P, _character_weights(spec, s), add, mul)
-    keep = np.nonzero(chi[diag] == 1)[0]
-    return [points[int(i)] for i in keep]
+    spec, V, _ = _square_type(q, s)
+    return _points(V, spec)
 
 
 def bip_graph(q, s: int, variant: str = "canonical") -> Graph:
@@ -295,15 +310,9 @@ def bip_graph(q, s: int, variant: str = "canonical") -> Graph:
     """
     if variant not in BIP_VARIANTS:
         raise ValueError(f"variant must be one of {BIP_VARIANTS}")
-    spec = _character_spec(q, s)
-    points = enumerate_pg_points(s, spec)
-    P = _index_matrix(points, spec)
+    spec, V, weights = _square_type(q, s)
     add, mul = _np_tables(spec)
     chi = np.array(op_tables(spec).chi, dtype=np.int8)
-    weights = _character_weights(spec, s)
-    diag = _form_diagonal(P, weights, add, mul)
-    keep = np.nonzero(chi[diag] == 1)[0]
-    V = P[keep]
     rows = []
     for i, acc in _form_rows(V, V, weights, add, mul):
         if variant == "canonical":
@@ -312,20 +321,4 @@ def bip_graph(q, s: int, variant: str = "canonical") -> Graph:
             bits = acc == 0
         bits[i] = False
         rows.append(_pack_row(bits))
-    return Graph(len(keep), rows)
-
-
-def _character_spec(q, s: int) -> FieldSpec:
-    spec = spec_for(q)
-    if spec.q % 2 == 0:
-        raise ValueError("the character graph needs an odd field order")
-    if spec.q > MAX_CHARACTER_ORDER:
-        raise ValueError(f"character graph supported for q <= {MAX_CHARACTER_ORDER}")
-    if not 1 <= s <= MAX_CHARACTER_DIM:
-        raise ValueError(f"s must be in 1..{MAX_CHARACTER_DIM}")
-    return spec
-
-
-def _character_weights(spec: FieldSpec, s: int) -> tuple[int, ...]:
-    xi = spec.index(smallest_nonresidue(spec))
-    return (xi,) + (spec.index(spec.one()),) * s
+    return Graph(len(V), rows)

@@ -73,24 +73,18 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 
 # --- polynomial helpers over GF(p), coefficients low-to-high ---------------
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_divmod(num: Sequence[int], den: Sequence[int], p: int):
+def _poly_mod(num: Sequence[int], den: Sequence[int], p: int) -> list[int]:
+    """Remainder of num modulo the monic polynomial den, as len(den) - 1
+    coefficients.  Every divisor here is monic: a field modulus or a monic
+    trial factor, so no leading coefficient needs inverting."""
     num = list(num)
     dn = len(den) - 1
-    inv = pow(den[-1], p - 2, p)
-    quo = [0] * max(1, len(num) - dn)
     for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i] * inv % p
+        c = num[i]
         if c:
-            quo[i - dn] = c
-            for j in range(dn + 1):
+            for j in range(dn):
                 num[i - dn + j] = (num[i - dn + j] - c * den[j]) % p
-    return _poly_trim(quo), _poly_trim(num)
+    return num[:dn]
 
 
 def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
@@ -100,8 +94,7 @@ def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int)
             for j, bj in enumerate(b):
                 if bj:
                     prod[i + j] = (prod[i + j] + ai * bj) % p
-    _, rem = _poly_divmod(prod, mod, p)
-    return rem
+    return _poly_mod(prod, mod, p)
 
 
 def _poly_is_irreducible(mod: Sequence[int], p: int) -> bool:
@@ -116,8 +109,7 @@ def _poly_is_irreducible(mod: Sequence[int], p: int) -> bool:
 
     for deg in range(1, k // 2 + 1):
         for lower in product(range(p), repeat=deg):
-            _, rem = _poly_divmod(mod, list(lower) + [1], p)
-            if rem == [0]:
+            if not any(_poly_mod(mod, list(lower) + [1], p)):
                 return False
     return True
 
@@ -271,39 +263,16 @@ class FieldElement:
         if o is NotImplemented:
             return NotImplemented
         spec = self.spec
-        rem = _poly_mulmod(self.coeffs, o.coeffs, spec.modulus, spec.p)
-        rem += [0] * (spec.k - len(rem))
-        return FieldElement(spec, tuple(rem))
+        return FieldElement(spec, tuple(_poly_mulmod(self.coeffs, o.coeffs, spec.modulus, spec.p)))
 
     __rmul__ = __mul__
 
     def inverse(self) -> FieldElement:
-        """Multiplicative inverse by the extended Euclidean algorithm."""
+        """Multiplicative inverse a^(q-2): the nonzero elements form a group
+        of order q - 1, so a^(q-1) = 1 by Lagrange's theorem."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        spec = self.spec
-        p = spec.p
-        r0, r1 = list(spec.modulus), _poly_trim(list(self.coeffs))
-        s0, s1 = [0], [1]
-        while r1 != [0]:
-            quo, rem = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            prod = [0] * (len(quo) + len(s1) - 1)
-            for i, qi in enumerate(quo):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        prod[i + j] = (prod[i + j] + qi * sj) % p
-            new_s = [0] * max(len(s0), len(prod))
-            for i, c in enumerate(s0):
-                new_s[i] = c
-            for i, c in enumerate(prod):
-                new_s[i] = (new_s[i] - c) % p
-            s0, s1 = s1, _poly_trim(new_s)
-        # r0 is now gcd = a nonzero constant; scale s0 by its inverse
-        scale = pow(r0[0], p - 2, p)
-        inv = [c * scale % p for c in s0]
-        inv += [0] * (spec.k - len(inv))
-        return FieldElement(spec, tuple(inv[: spec.k]))
+        return self ** (self.spec.q - 2)
 
     def __truediv__(self, other):
         o = self._lift(other)

@@ -13,6 +13,9 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
+from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
@@ -422,21 +425,26 @@ def find_independent_set(G: Graph, t: int, budget: int | None = None):
 def _find_c4(G: Graph) -> list[int] | None:
     """A 4-cycle [a, w', b, w], or None.  G has a 4-cycle exactly when two
     vertices a < b share two neighbours w' < w.  The centres w are scanned in
-    order; co[a] holds the vertices that share an earlier centre with a, so w
-    is the first centre at which a pair of its neighbours repeats, (a, b) is
-    the lexicographically first such pair, and w' is their only common
-    neighbour below w."""
+    order; co[a] holds the vertices b > a that share an earlier centre with a,
+    as bit b - a - 1 (only pairs a < b are ever asked about), so w is the
+    first centre at which a pair of its neighbours repeats, (a, b) is the
+    lexicographically first such pair, and w' is their only common neighbour
+    below w.  Each row is walked by shifting it past its next neighbour a,
+    which leaves `above` = row >> (a + 1), in the frame of co[a]."""
     rows = G.rows
     co = [0] * G.n
     for w in range(G.n):
-        row = rows[w]
-        for a in _iter_bits(row):
-            hit = (co[a] & row) >> (a + 1)
+        above, a = rows[w], -1
+        while above:
+            step = (above & -above).bit_length()
+            a += step
+            above >>= step
+            hit = co[a] & above
             if hit:
                 b = a + (hit & -hit).bit_length()
                 both = rows[a] & rows[b]
                 return [a, (both & -both).bit_length() - 1, b, w]
-            co[a] |= row
+            co[a] |= above
     return None
 
 
@@ -662,18 +670,18 @@ def is_strongly_pattern_free(
     clique, so it is non-bipartite exactly when it has >= 3 vertices; when F
     is an odd k-cycle it induces the whole cycle or a union of paths, so it is
     non-bipartite exactly when it has all k.  A copy is therefore covered
-    exactly when some hyperedge holds `need` of its vertices."""
+    exactly when some `need` of its vertices share a hyperedge, which one AND
+    of per-vertex hyperedge masks decides for each `need`-subset."""
     if F.is_bipartite_pattern():
         raise ValueError("strong freeness is defined for non-bipartite patterns only")
     shadow = shadow_graph(H)
-    masks = [sum(1 << v for v in e) for e in H.edges]
+    through = [sum(1 << e for e in inc) for inc in H.incidence()]
     if F.kind == "clique":
         need, copies = 3, _iter_cliques(shadow, F.size, budget)
     else:
         need, copies = F.size, _iter_cycles_exact(shadow, F.size, budget)
     for copy in copies:
-        inside = sum(1 << v for v in copy)
-        if not any((mask & inside).bit_count() >= need for mask in masks):
+        if not any(reduce(and_, part) for part in combinations([through[v] for v in copy], need)):
             return False, list(copy)
     return True, None
 
@@ -693,8 +701,9 @@ def write_graph(G: Graph, fh, header: dict | None = None) -> None:
 
 # Largest vertex count the edge-list readers accept.  Each Graph row is an
 # n-bit int, so n edge lines that all touch vertex n - 1 cost about n^2/8
-# bytes; 2^15 keeps that worst case at 128 MiB.  The largest graph the tool
-# builds, ER_81, has 6643 vertices.
+# bytes; at 2^15 that worst case is 128 MiB for the rows.  _find_c4's masks
+# keep only the bits above each vertex, about n^2/16 bytes: 64 MiB at the
+# cap.  The largest graph the tool builds, ER_81, has 6643 vertices.
 MAX_READ_VERTICES = 2**15
 
 

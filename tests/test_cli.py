@@ -248,6 +248,33 @@ def test_certificate_bytes_pinned(capsys, tmp_path, args, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+def test_certify_checks_ambient_pattern_before_alpha(capsys):
+    # the symmetrized bip(7, 3) holds a c5; proving alpha of its 175 vertices
+    # first took 56 s before the c5 was found
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["certify", "--family", "bip", "--q", "7", "--s", "3", "--pattern", "c5"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and out == "" and "ambient graph contains c5" in err
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["er", "--q", "49"], "d97f0b7e2dd2249d8d4056c9da117a565602f42ebb58da856d5af7c8ada01798"),
+        (["unital", "--q", "4"], "e1483ad90c941c903bd164c2f51e8833a7a7d48a55e28bf790b48606bd1c8060"),
+        (["bip", "--q", "7", "--s", "3", "--variant", "canonical"],
+         "65b3374275c9b4531fb4514e6c47bf98c5f68dc8f7ed1e51658157c7a4210bab"),
+        (["bip", "--q", "7", "--s", "3", "--variant", "symmetrized"],
+         "15730d7db060986435db2842a7b94d1dd6f0c6a04d3c7908e0d381365e050a88"),
+    ],
+)
+def test_construct_output_pinned(capsys, argv, digest):
+    # the geometry builds' edge lists, byte for byte
+    code, out, _ = run(capsys, ["construct", *argv])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_odd_cycle_longer_than_witness(capsys, tmp_path):
     # c59 cannot occur on the 57 vertices of ER_7, so the claim holds
     # trivially and the replay must not walk the graph's paths for it

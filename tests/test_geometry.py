@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -46,6 +47,20 @@ def test_pg_point_order():
     assert len(pts) == 10
 
 
+@pytest.mark.parametrize("dim, q", [(1, 2), (1, 9), (2, 3), (2, 4), (2, 8), (3, 5), (4, 3)])
+def test_pg_points_are_the_normalized_nonzero_vectors(dim, q):
+    # every nonzero vector of GF(q)^(dim+1), scaled by the inverse of its
+    # first nonzero coordinate, then sorted as index rows
+    F = spec_for(q)
+    rows = set()
+    for vec in itertools.product(list(F.elements()), repeat=dim + 1):
+        pivot = next((c for c in vec if c), None)
+        if pivot is not None:
+            rows.add(tuple(F.index(c / pivot) for c in vec))
+    pts = geo.enumerate_pg_points(dim, F)
+    assert [tuple(F.index(c) for c in p.coords) for p in pts] == sorted(rows)
+
+
 def test_pg_point_guards():
     with pytest.raises(ValueError):
         geo.enumerate_pg_points(0, spec_for(3))
@@ -61,6 +76,21 @@ def test_polarity_fano():
     assert G.n == 7
     assert Counter(G.degrees) == {3: 4, 2: 3}
     assert geo.polarity_absolute_points(2) == (2, 4, 5)
+
+
+def absolute_points_by_objects(q):
+    """Reference: test u.u = 0 point by point in FieldElement arithmetic."""
+    spec = spec_for(q)
+    out = []
+    for i, pt in enumerate(geo.enumerate_pg_points(2, spec)):
+        if not sum((c * c for c in pt.coords), spec.zero()):
+            out.append(i)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27])
+def test_polarity_absolute_points_match_object_arithmetic(q):
+    assert geo.polarity_absolute_points(q) == absolute_points_by_objects(q)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])

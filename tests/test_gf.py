@@ -125,6 +125,13 @@ def test_pow_negative_exponent():
     assert a**-1 == a.inverse()
     assert a**-3 == (a**3).inverse()
     assert a**0 == spec.one()
+    # every nonzero element of every tabled extension field, 844 in all
+    for q in gf.MODULI:
+        spec = gf.spec_for(q)
+        one = spec.one()
+        for a in spec.elements():
+            if a:
+                assert a * a.inverse() == one
 
 
 @pytest.mark.parametrize("q", ODD_ORDERS_49)
