@@ -26,7 +26,6 @@ from .graphcore import (
     UndecidedError,
     find_independent_set,
     is_pattern_free,
-    is_strongly_pattern_free,
 )
 from .transfer import bichromatic_subgraph, derive_seed, random_coloring
 
@@ -266,19 +265,15 @@ def pipeline_unital(
     """Color the unital line hypergraph `trials` times, certify each colored
     graph k4-free with independence number < t, and return the certificate
     with the largest witness (ties to the smallest trial seed).  The last
-    round of each trial's deletion loop is its one proof of alpha < t."""
+    round of each trial's deletion loop is its one proof of alpha < t.
+    H's strong k4-freeness, the transference hypothesis, is not re-proved:
+    its conclusion, a k4-free trial graph, is checked on every trial."""
     if q not in PIPELINE_ORDERS:
         raise ValueError(f"q must be one of {PIPELINE_ORDERS}")
     if trials < 1:
         raise ValueError("need trials >= 1")
     H = unital_line_hypergraph(q)
     k4 = ForbiddenPattern.clique(4)
-    try:
-        strong, violation = is_strongly_pattern_free(H, k4, budget=budget)
-        if not strong:
-            raise ValueError(f"hypergraph is not strongly k4-free: {violation}")
-    except UndecidedError:
-        pass  # sound either way: every trial graph is checked directly below
     if t is None:
         t = t_transfer(H.n, H.r, H.regular_degree())
     best = None

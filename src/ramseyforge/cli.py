@@ -26,6 +26,7 @@ from typing import Sequence
 from . import __version__
 from .certify import (
     RamseyCertificate,
+    build_family,
     check_ambient,
     pipeline_unital,
     sample_and_delete,
@@ -234,18 +235,14 @@ def _cmd_certify(args, run: _Run) -> int:
     if args.family == "unital-transfer":
         cert = pipeline_unital(args.q, args.trials, args.seed, t=args.t, budget=budget)
     else:
-        if args.family == "er":
-            G = polarity_graph(args.q)
-            params = {"q": args.q}
-            pattern = args.pattern or "c4"
-        else:  # bip
+        params, pattern = {"q": args.q}, args.pattern or "c4"
+        if args.family == "bip":
             if args.s is None:
                 raise ValueError("certify --family bip needs --s")
             if not args.pattern:
                 raise ValueError("certify --family bip needs --pattern")
-            G = bip_graph(args.q, args.s, args.variant)
             params = {"q": args.q, "s": args.s, "variant": args.variant}
-            pattern = args.pattern
+        G = build_family(args.family, params)
         F = ForbiddenPattern.parse(pattern)
         t = args.t
         if t is None:  # settle the ambient pattern before the costly alpha

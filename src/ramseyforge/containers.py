@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
 from .graphcore import Graph
-from .spectral import SpectralReport, adjacency_matrix, spectrum
+from .spectral import SpectralReport, spectrum
 
 MAX_EXHAUSTIVE_N = 24
 
@@ -112,41 +110,32 @@ def check_pseudorandom(
 
     No size above k = max(m, 2) needs a look: e(X)/C(k, 2) is the average
     of e(Y)/C(k-1, 2) over the (k-1)-subsets Y of X, so a violator of size
-    k has one of size k - 1.  Exhaustive mode (n <= 24) searches the
-    k-subsets in combinations order, cutting every branch whose edges
-    already reach ceil(alpha C(k, 2)), and returns the first violator.
-    Sampled mode draws `samples` >= 1 seeded uniform subsets per size class
-    from k up, counts their edges in one matrix product per class, and
-    reports the smallest violator of the smallest violated size, so reports
-    merge deterministically.
+    k has one of size k - 1.  Both modes therefore test the k-subsets
+    against ceil(alpha C(k, 2)) edges.  Exhaustive mode (n <= 24) searches
+    them in combinations order, cutting every branch whose edges already
+    reach the bound, and returns the first violator.  Sampled mode draws
+    `samples` >= 1 seeded uniform k-subsets, counts their edges on G's rows
+    and reports the smallest sorted violator; with k > n there is nothing
+    to draw and nothing that can violate.
     """
     n = G.n
-    alpha = params.alpha
-    lo = max(params.m, 2)
+    k = max(params.m, 2)
+    bound = math.ceil(params.alpha * math.comb(k, 2))
     if mode == "exhaustive":
         if n > MAX_EXHAUSTIVE_N:
             raise ValueError(f"exhaustive mode needs n <= {MAX_EXHAUSTIVE_N}")
-        hit = _sparse_m_subset(G, lo, math.ceil(alpha * math.comb(lo, 2)), first=True)
+        hit = _sparse_m_subset(G, k, bound, first=True)
         return PseudorandomCheck(True, None) if hit is None else PseudorandomCheck(False, hit[1])
     if mode != "sampled":
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
     if samples < 1:
         raise ValueError("sampled mode needs samples >= 1")
+    if k > n:
+        return PseudorandomCheck(True, None)
     rng = random.Random(seed)
-    A = adjacency_matrix(G)
-    sample_rows = np.arange(samples)[:, None]
-    for size in range(lo, n + 1):
-        draws = [rng.sample(range(n), size) for _ in range(samples)]
-        S = np.zeros((samples, n))
-        S[sample_rows, draws] = 1.0
-        # 2 e(X) per sample: integer sums far below 2**53, so float64 is exact
-        twice_edges = np.einsum("ij,ij->i", S @ A, S)
-        # e(X) < alpha C(size, 2)  <=>  2 e(X) < ceil(alpha size (size - 1))
-        bad = np.flatnonzero(twice_edges < math.ceil(alpha * size * (size - 1)))
-        if bad.size:
-            # later size classes are larger, so none can hold a smaller violator
-            return PseudorandomCheck(False, min(tuple(sorted(draws[i])) for i in bad))
-    return PseudorandomCheck(True, None)
+    draws = (tuple(sorted(rng.sample(range(n), k))) for _ in range(samples))
+    bad = [X for X in draws if G.subgraph_edge_count(sum(1 << v for v in X)) < bound]
+    return PseudorandomCheck(not bad, min(bad, default=None))
 
 
 def exact_alpha_m(G: Graph, m: int) -> Fraction:

@@ -22,7 +22,6 @@ _MASK64 = (1 << 64) - 1
 _WEYL = 0x9E3779B97F4A7C15
 
 MIN_CONCENTRATION_SHADOW_EDGES = 100
-FRACTION_GATE_SHADOW_EDGES = 1000
 
 
 def _splitmix64(x: int) -> int:

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
+import math
+import random
 import re
 import time
 
 import pytest
 
 from ramseyforge import geometry as geo
+from ramseyforge import transfer as tr
 from ramseyforge.cli import dispatch
 from ramseyforge.graphcore import read_graph, read_hypergraph
 
@@ -147,13 +151,30 @@ def test_transfer(capsys):
 
 
 def test_transfer_output_pinned(capsys):
-    # 25 trials with both sampled verdicts (5 of them false); the hash pins
-    # the kept edges, the pattern checks and every sampled-check verdict
+    # 25 trials with both sampled verdicts; the false ones are re-derived
+    # here from the same seeded k-subset draws on each trial's graph, with
+    # e(X) counted pair by pair, and the hash pins the kept edges, the
+    # pattern checks and every sampled-check verdict
+    H = geo.unital_line_hypergraph(3)
+    colored = tr.derive_transfer_params(H).colored
+    k = max(colored.m, 2)
+    bound = colored.alpha * math.comb(k, 2)
+    false_trials = set()
+    for i in range(25):
+        trial_seed = tr.derive_seed(1, i)
+        G = tr.bichromatic_subgraph(H, tr.random_coloring(H, trial_seed))
+        rng = random.Random(tr.derive_seed(trial_seed, 2))
+        for _ in range(20):
+            X = rng.sample(range(G.n), k)
+            if sum(G.has_edge(u, v) for u, v in itertools.combinations(X, 2)) < bound:
+                false_trials.add(i)
+    assert false_trials == {7, 17, 20}
     code, out, _ = run(capsys, ["transfer", "--q", "3", "--trials", "25", "--pattern", "k4", "--seed", "1"])
     assert code == 0
-    assert out.count('"pseudorandomSampled":false') == 5
+    rows = [json.loads(line) for line in out.splitlines()[:-1]]
+    assert {row["trial"] for row in rows if not row["pseudorandomSampled"]} == false_trials
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "c9d9b6ba2af4aa91efa2c3b7140fcbbba681623fc009880ed1795a0622b2e747"
+        "445f1391cf1ce580ea0cefd6d7e340ffe9968cfae0eb11d27a950e5bdeb2c1fe"
     )
 
 

@@ -127,21 +127,46 @@ def test_check_sampled_mode():
     hard = ct.PseudorandomParams(Fraction(1), 2, "exact-checked")
     res = ct.check_pseudorandom(G, hard, mode="sampled", samples=20, seed=3)
     assert not res.ok and len(res.violator) >= 2
+    # no subset reaches k = max(m, 2) > n, so none can violate
+    for m in (41, 60):
+        beyond = ct.PseudorandomParams(Fraction(1), m, "exact-checked")
+        for samples in (1, 20):
+            assert ct.check_pseudorandom(G, beyond, mode="sampled", samples=samples) == (True, None)
+
+
+def test_sampled_check_draws_samples_subsets(monkeypatch):
+    # exactly `samples` draws, all of size k = max(m, 2), whatever the verdict
+    G = random_graph(40, 0.5, random.Random(5))
+    drawn = []
+    sample = random.Random.sample
+
+    def counted(self, population, k, **kwargs):
+        drawn.append(k)
+        return sample(self, population, k, **kwargs)
+
+    monkeypatch.setattr(random.Random, "sample", counted)
+    for alpha in (Fraction(0), Fraction(1, 2), Fraction(1)):
+        for m, samples in ((1, 7), (12, 3), (39, 5), (40, 4), (41, 6)):
+            drawn.clear()
+            params = ct.PseudorandomParams(alpha, m, "exact-checked")
+            ct.check_pseudorandom(G, params, mode="sampled", samples=samples, seed=m)
+            assert drawn == ([max(m, 2)] * samples if m <= G.n else []), (alpha, m)
 
 
 def sampled_reference(G, params, samples, seed):
-    # one rng.sample draw and one bitset edge count per subset, every size
-    # class from max(m, 2) to n, smallest (size, X) violator
-    n = G.n
+    # `samples` draws of one rng.sample each at k = max(m, 2) only, e(X)
+    # counted pair by pair, smallest sorted violator; no k-subset when k > n
+    n, k = G.n, max(params.m, 2)
+    if k > n:
+        return ct.PseudorandomCheck(True, None)
     rng = random.Random(seed)
-    best = None
-    for size in range(max(params.m, 2), n + 1):
-        for _ in range(samples):
-            X = tuple(sorted(rng.sample(range(n), size)))
-            e = G.subgraph_edge_count(sum(1 << v for v in X))
-            if e < params.alpha * math.comb(size, 2) and (best is None or (size, X) < best):
-                best = (size, X)
-    return ct.PseudorandomCheck(best is None, None if best is None else best[1])
+    bad = []
+    for _ in range(samples):
+        X = tuple(sorted(rng.sample(range(n), k)))
+        e = sum(G.has_edge(u, v) for u, v in itertools.combinations(X, 2))
+        if e < params.alpha * math.comb(k, 2):
+            bad.append(X)
+    return ct.PseudorandomCheck(not bad, min(bad, default=None))
 
 
 def test_sampled_mode_matches_per_subset_reference():
