@@ -30,10 +30,21 @@ class UndecidedError(RuntimeError):
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, ascending; the mask is shifted past each one."""
+    v = -1
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        step = (mask & -mask).bit_length()
+        v += step
+        mask >>= step
+        yield v
+
+
+def _relabel(rows: Sequence[int], order: Sequence[int]) -> list[int]:
+    """Rows of the subgraph induced on the distinct vertices `order`, in
+    which vertex i is order[i]; only the kept bits of each row are walked."""
+    pos = {v: i for i, v in enumerate(order)}
+    mask = sum(1 << v for v in order)
+    return [sum(1 << pos[u] for u in _iter_bits(rows[v] & mask)) for v in order]
 
 
 class Graph:
@@ -102,10 +113,7 @@ class Graph:
         vs = list(vertices)
         if any(b <= a for a, b in zip(vs, vs[1:])):
             raise ValueError("vertices must be strictly increasing")
-        pos = {v: i for i, v in enumerate(vs)}
-        mask = sum(1 << v for v in vs)
-        rows = [sum(1 << pos[u] for u in _iter_bits(self.rows[v] & mask)) for v in vs]
-        return Graph(len(vs), rows)
+        return Graph(len(vs), _relabel(self.rows, vs))
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
@@ -248,64 +256,25 @@ class ForbiddenPattern:
 # --- clique / independence engine ------------------------------------------
 
 
-def _color_order(P: int, adj: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Greedy coloring of the subgraph induced by P; returns vertices grouped
-    by color class with their (1-based) color numbers, colors ascending."""
-    order: list[int] = []
-    colors: list[int] = []
-    un = P
-    c = 0
-    while un:
-        c += 1
-        avail = un
+class _Stop(Exception):
+    """Ends a clique search early; args[0] is its status."""
+
+
+def _color_classes(P: int, others: Sequence[int]) -> list[int]:
+    """Greedy colouring of the vertices in P as class bit masks, in colour
+    order.  Each class takes the lowest uncoloured vertex, then the lowest
+    one adjacent to none it holds; others[v] masks the vertices that v is
+    not adjacent to in the searched graph (v's own bit is ignored)."""
+    classes = []
+    while P:
+        avail, cls = P, 0
         while avail:
-            v = (avail & -avail).bit_length() - 1
-            avail &= ~(adj[v] | (1 << v))
-            un &= ~(1 << v)
-            order.append(v)
-            colors.append(c)
-    return order, colors
-
-
-class _SearchState:
-    __slots__ = ("best", "best_set", "nodes", "budget", "target")
-
-    def __init__(self, budget, target):
-        self.best = 0
-        self.best_set: tuple[int, ...] = ()
-        self.nodes = 0
-        self.budget = budget
-        self.target = target
-
-
-class _Exhausted(Exception):
-    pass
-
-
-class _TargetReached(Exception):
-    pass
-
-
-def _expand(R: list[int], P: int, adj: Sequence[int], st: _SearchState) -> None:
-    st.nodes += 1
-    if st.budget is not None and st.nodes > st.budget:
-        raise _Exhausted
-    order, colors = _color_order(P, adj)
-    for i in range(len(order) - 1, -1, -1):
-        if len(R) + colors[i] <= st.best:
-            return
-        v = order[i]
-        R.append(v)
-        new_p = P & adj[v]
-        if new_p:
-            _expand(R, new_p, adj, st)
-        elif len(R) > st.best:
-            st.best = len(R)
-            st.best_set = tuple(R)
-            if st.target is not None and st.best >= st.target:
-                raise _TargetReached
-        R.pop()
-        P &= ~(1 << v)
+            low = avail & -avail
+            cls |= low
+            avail = (avail ^ low) & others[low.bit_length() - 1]
+        classes.append(cls)
+        P ^= cls
+    return classes
 
 
 def _max_clique_search(G: Graph, budget: int | None, target: int | None, complement: bool = False):
@@ -316,31 +285,54 @@ def _max_clique_search(G: Graph, budget: int | None, target: int | None, complem
     'complete', 'target' (early stop at target size) or 'budget'.
     Vertices are relabeled by descending degree in the searched graph (ties
     by index), which fixes the search tree and therefore the witness
-    deterministically.  The complement is never built: G's own sparse rows
-    are relabeled, then each relabeled row is complemented.
+    deterministically.  The search keeps, per vertex, the mask of the
+    vertices it is not adjacent to: G's own relabeled rows when the
+    complement is searched, and each row's ~row otherwise.
     """
     n = G.n
     if n == 0:
         return 0, (), "complete"
     sign = 1 if complement else -1
-    perm = sorted(range(n), key=lambda v: (sign * G.degrees[v], v))
-    inv = sorted(range(n), key=perm.__getitem__)  # inv[old] = new
-    adj = [0] * n
-    for old, row in enumerate(G.rows):
-        adj[inv[old]] = sum(1 << inv[u] for u in _iter_bits(row))
-    if complement:
-        full = (1 << n) - 1
-        adj = [full ^ row ^ (1 << i) for i, row in enumerate(adj)]
-    st = _SearchState(budget, target)
-    status = "complete"
+    order = sorted(range(n), key=lambda v: (sign * G.degrees[v], v))
+    others = _relabel(G.rows, order)
+    if not complement:
+        others = [~row for row in others]
+    best: tuple[int, ...] = ()
+    nodes = 0
+    R: list[int] = []
+
+    def expand(P: int) -> None:
+        # this branching order and cut fix the search tree, and with it the
+        # witness and the node at which a budget runs out
+        nonlocal best, nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise _Stop("budget")
+        classes = _color_classes(P, others)
+        for c in range(len(classes), 0, -1):
+            cls = classes[c - 1]
+            while cls:
+                if len(R) + c <= len(best):
+                    return
+                v = cls.bit_length() - 1
+                cls ^= 1 << v
+                P ^= 1 << v
+                R.append(v)
+                sub = P & ~others[v]
+                if sub:
+                    expand(sub)
+                elif len(R) > len(best):
+                    best = tuple(R)
+                    if target is not None and len(best) >= target:
+                        raise _Stop("target")
+                R.pop()
+
     try:
-        _expand([], (1 << n) - 1, adj, st)
-    except _TargetReached:
-        status = "target"
-    except _Exhausted:
-        status = "budget"
-    witness = tuple(sorted(perm[v] for v in st.best_set))
-    return st.best, witness, status
+        expand((1 << n) - 1)
+        status = "complete"
+    except _Stop as stop:
+        status = stop.args[0]
+    return len(best), tuple(sorted(order[v] for v in best)), status
 
 
 @dataclass(frozen=True)
@@ -368,9 +360,8 @@ def _clique_number(G: Graph, budget: int | None, complement: bool) -> AlphaResul
         return AlphaResult(best, best, witness, True)
     # the colors of a greedy coloring of the searched graph bound its
     # clique number; G.n > 0 here, as the empty graph always completes
-    full = (1 << G.n) - 1
-    rows = [full ^ row ^ (1 << v) for v, row in enumerate(G.rows)] if complement else G.rows
-    return AlphaResult(best, _color_order(full, rows)[1][-1], witness, False)
+    others = G.rows if complement else [~row for row in G.rows]
+    return AlphaResult(best, len(_color_classes((1 << G.n) - 1, others)), witness, False)
 
 
 def max_clique(G: Graph, budget: int | None = None) -> AlphaResult:
@@ -391,8 +382,10 @@ def independence_number(G: Graph, budget: int | None = None) -> AlphaResult:
 def _find_clique(G: Graph, s: int, budget: int | None, complement: bool):
     if s <= 0:
         return ()
+    if s > G.n:  # no set has more than n distinct vertices
+        return None
     if s == 1:
-        return (0,) if G.n else None
+        return (0,)
     if s == 2:  # the lexicographically first edge of the searched graph
         flip = (1 << G.n) - 1 if complement else 0
         for u, row in enumerate(G.rows):

@@ -309,6 +309,18 @@ def test_verify_odd_cycle_longer_than_witness(capsys, tmp_path):
     assert code == 0 and json.loads(out)["status"] == "VALID"
 
 
+def test_verify_t_above_witness_size_needs_no_search(capsys, tmp_path):
+    # no independent set has more than the witness's 57 vertices, so the
+    # claim holds whatever the budget; a budgeted search for it used to end
+    # UNVERIFIED
+    cert = {"family": "er", "params": {"q": 7, "p": 1.0}, "pattern": "c4", "t": 58,
+            "witnessCount": 57, "seed": 0, "deletionTrace": [], "valid": True, "toolVersion": "0.1.0"}
+    path = tmp_path / "t58.json"
+    path.write_text(json.dumps(cert))
+    code, out, _ = run(capsys, ["verify", "--cert", str(path), "--budget", "1"])
+    assert code == 0 and json.loads(out)["status"] == "VALID"
+
+
 def test_usage_and_version(capsys):
     assert run(capsys, ["frobnicate"])[0] == 2
     assert run(capsys, ["fields", "--q", "9", "--wat"])[0] == 2

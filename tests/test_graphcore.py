@@ -266,6 +266,120 @@ def test_independence_equals_clique_of_complement():
     assert undecided
 
 
+def reference_color_order(P: int, adj) -> tuple[list[int], list[int]]:
+    """Greedy colouring of P: the vertices grouped by colour class, with
+    their 1-based colours, in two parallel lists."""
+    order, colors, un, c = [], [], P, 0
+    while un:
+        c += 1
+        avail = un
+        while avail:
+            v = (avail & -avail).bit_length() - 1
+            avail &= ~(adj[v] | (1 << v))
+            un &= ~(1 << v)
+            order.append(v)
+            colors.append(c)
+    return order, colors
+
+
+def reference_clique_search(G: Graph, budget, target, complement=False):
+    """Reference branch and bound with greedy-colouring bounds: a state
+    object and one exception per way of stopping.  It relabels by descending
+    degree in the searched graph and builds the searched rows in full."""
+
+    class Exhausted(Exception):
+        pass
+
+    class TargetReached(Exception):
+        pass
+
+    class State:
+        best, best_set, nodes = 0, (), 0
+
+    st = State()
+
+    def expand(R, P, adj):
+        st.nodes += 1
+        if budget is not None and st.nodes > budget:
+            raise Exhausted
+        order, colors = reference_color_order(P, adj)
+        for i in range(len(order) - 1, -1, -1):
+            if len(R) + colors[i] <= st.best:
+                return
+            v = order[i]
+            R.append(v)
+            new_p = P & adj[v]
+            if new_p:
+                expand(R, new_p, adj)
+            elif len(R) > st.best:
+                st.best, st.best_set = len(R), tuple(R)
+                if target is not None and st.best >= target:
+                    raise TargetReached
+            R.pop()
+            P &= ~(1 << v)
+
+    n = G.n
+    if n == 0:
+        return 0, (), "complete"
+    sign = 1 if complement else -1
+    perm = sorted(range(n), key=lambda v: (sign * G.degrees[v], v))
+    inv = sorted(range(n), key=perm.__getitem__)
+    adj = [0] * n
+    for old in range(n):
+        adj[inv[old]] = sum(1 << inv[u] for u in G.neighbors(old))
+    if complement:
+        adj = [((1 << n) - 1) ^ row ^ (1 << i) for i, row in enumerate(adj)]
+    status = "complete"
+    try:
+        expand([], (1 << n) - 1, adj)
+    except TargetReached:
+        status = "target"
+    except Exhausted:
+        status = "budget"
+    return st.best, tuple(sorted(perm[v] for v in st.best_set)), status
+
+
+def reference_interval(G: Graph, budget, complement: bool) -> gc.AlphaResult:
+    best, witness, status = reference_clique_search(G, budget, None, complement)
+    if status == "complete":
+        return gc.AlphaResult(best, best, witness, True)
+    # the colours of the searched graph, in its own labels, bound its clique number
+    H = G.complement() if complement else G
+    colors = reference_color_order((1 << H.n) - 1, H.rows)[1]
+    return gc.AlphaResult(best, colors[-1], witness, False)
+
+
+def test_clique_search_matches_reference():
+    # the same search tree as the reference, node for node: every size,
+    # witness and status, including the node at which a budget runs out
+    rng = random.Random(1509)
+    statuses = Counter()
+    for _ in range(120):
+        G = random_graph(rng.randint(0, 30), rng.uniform(0.1, 0.9), rng)
+        for budget in (None, 1, 3, 17, 200):
+            for complement in (False, True):
+                for target in (None, 2, 3, 5, 8):
+                    got = gc._max_clique_search(G, budget, target, complement)
+                    assert got == reference_clique_search(G, budget, target, complement)
+                    statuses[got[2]] += 1
+            assert gc.max_clique(G, budget) == reference_interval(G, budget, False)
+            assert gc.independence_number(G, budget) == reference_interval(G, budget, True)
+    assert min(statuses[s] for s in ("complete", "target", "budget")) > 100
+
+
+def test_sizes_above_n_are_not_searched(monkeypatch):
+    # no clique or independent set has more than n vertices
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched for a set larger than the graph")
+
+    monkeypatch.setattr(gc, "_max_clique_search", refuse)
+    for G in (Graph(0, []), petersen(), complete_graph(6), Graph(5, [0] * 5)):
+        assert gc.find_clique(G, G.n + 1) is None
+        assert gc.find_independent_set(G, G.n + 1, budget=1) is None
+        if G.n >= 2:
+            assert gc.is_pattern_free(G, ForbiddenPattern.clique(G.n + 1)) == (True, None)
+
+
 def test_find_clique_and_independent_set():
     G = petersen()
     assert gc.find_clique(G, 3) is None
