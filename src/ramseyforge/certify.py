@@ -19,8 +19,16 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import __version__
-from .geometry import bip_graph, polarity_graph, unital_line_hypergraph
+from .geometry import (
+    bip_graph,
+    bip_reflections,
+    polarity_graph,
+    polarity_reflections,
+    unital_line_hypergraph,
+)
+from .gf import spec_for
 from .graphcore import (
+    Automorphisms,
     ForbiddenPattern,
     Graph,
     UndecidedError,
@@ -146,6 +154,17 @@ def build_family(family: str, params: dict) -> Graph:
     raise ValueError(f"unknown certificate family {family!r}")
 
 
+def family_symmetry(family: str, params: dict, G: Graph) -> Automorphisms | None:
+    """Verified reflections of G = build_family(family, params), for the
+    exact searches on the whole of G; None for the families without them:
+    even q, the canonical bip variant and unital-transfer."""
+    if family == "er" and spec_for(params["q"]).q % 2:
+        return Automorphisms(G, polarity_reflections(params["q"]))
+    if family == "bip" and params.get("variant", "symmetrized") == "symmetrized":
+        return Automorphisms(G, bip_reflections(params["q"], params["s"]))
+    return None
+
+
 def check_ambient(G: Graph, F: ForbiddenPattern, budget: int | None = None) -> None:
     """Raise ValueError unless G is F-free: every witness is an induced
     subgraph of G, so no certificate exists over an ambient copy of F."""
@@ -163,6 +182,7 @@ def sample_and_delete(
     family: str,
     params: dict,
     budget: int | None = None,
+    symmetry: Automorphisms | None = None,
 ) -> RamseyCertificate:
     """Sample vertices with probability p, then, while the induced subgraph
     still has an independent set of size t, delete one vertex of a found set
@@ -170,7 +190,8 @@ def sample_and_delete(
 
     With p = 1 the whole procedure is deterministic, so repeated runs agree
     exactly.  If the exact solver runs out of budget the certificate is
-    emitted with valid=False (unverified is never valid).
+    emitted with valid=False (unverified is never valid).  Automorphisms of
+    G serve the first round when the sample is all of G.
     """
     if t < 1:
         raise ValueError("need t >= 1")
@@ -178,10 +199,10 @@ def sample_and_delete(
     alive = sampled_vertices(G.n, p, seed)
     trace: list[int] = []
     undecided = False
+    sub = G if len(alive) == G.n else G.induced(alive)
     while alive:
-        sub = G.induced(alive)
         try:
-            found = find_independent_set(sub, t, budget)
+            found = find_independent_set(sub, t, budget, symmetry if sub is G else None)
         except UndecidedError:
             undecided = True
             break
@@ -190,6 +211,7 @@ def sample_and_delete(
         victim = max(found, key=lambda i: (sub.degree(i), -i))
         trace.append(alive[victim])
         del alive[victim]
+        sub = sub.drop_vertex(victim)
     # G is F-free, so G[alive] is too, and the last round found no
     # independent t-set: a decided loop has proved both claims
     return RamseyCertificate(
@@ -241,10 +263,13 @@ def verify_certificate(
             "INVALID", None, None, False,
             f"witness has {len(alive)} vertices, certificate says {cert.witness_count}",
         )
-    sub = G.induced(alive)
+    sub = G if len(alive) == G.n else G.induced(alive)
+    symmetry = None
+    if sub is G and budget is None:
+        symmetry = family_symmetry(cert.family, cert.params, G)
     try:
         free, _ = is_pattern_free(sub, F, budget)
-        alpha_ok = find_independent_set(sub, cert.t, budget) is None
+        alpha_ok = find_independent_set(sub, cert.t, budget, symmetry) is None
     except UndecidedError:
         return VerificationResult("UNVERIFIED", None, None, True, "exact checks exceeded budget")
     if free and alpha_ok:

@@ -28,6 +28,7 @@ from .certify import (
     RamseyCertificate,
     build_family,
     check_ambient,
+    family_symmetry,
     pipeline_unital,
     sample_and_delete,
     verify_certificate,
@@ -244,11 +245,15 @@ def _cmd_certify(args, run: _Run) -> int:
             params = {"q": args.q, "s": args.s, "variant": args.variant}
         G = build_family(args.family, params)
         F = ForbiddenPattern.parse(pattern)
-        t = args.t
+        t, symmetry = args.t, None
         if t is None:  # settle the ambient pattern before the costly alpha
             check_ambient(G, F, budget)
-            t = independence_number(G, budget).value + 1
-        cert = sample_and_delete(G, F, t, args.p, args.seed, args.family, params, budget=budget)
+            if budget is None:  # for the searches on the whole of G
+                symmetry = family_symmetry(args.family, params, G)
+            t = independence_number(G, budget, symmetry).value + 1
+        cert = sample_and_delete(
+            G, F, t, args.p, args.seed, args.family, params, budget=budget, symmetry=symmetry
+        )
     _emit(cert.to_json() + "\n", args, run)
     return EXIT_OK if cert.valid else EXIT_FAIL
 

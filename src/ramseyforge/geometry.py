@@ -20,7 +20,7 @@ from .gf import (
     smallest_nonresidue,
     spec_for,
 )
-from .graphcore import Graph, LinearHypergraph
+from .graphcore import Graph, LinearHypergraph, _merge_orbits
 
 MAX_POINTS = 1_000_000
 MAX_POLARITY_ORDER = 81
@@ -144,8 +144,97 @@ def _form_rows(L, R, weights, add, mul):
         yield i, acc
 
 
+def _form_matrix(L, R, weights, add, mul) -> np.ndarray:
+    """acc[i, j] is the index of Q(L[i], R[j]), for a few rows L."""
+    S = mul[np.asarray(weights, dtype=np.int32)[None, :], L]
+    acc = mul[S[:, None, 0], R[None, :, 0]]
+    for j in range(1, L.shape[1]):
+        acc = add[acc, mul[S[:, None, j], R[None, :, j]]]
+    return acc
+
+
 def _pack_row(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _keys(rows: np.ndarray, q: int) -> np.ndarray:
+    """One integer per row of element indices (the last axis), distinct for
+    distinct rows."""
+    key = np.zeros(rows.shape[:-1], dtype=np.int64)
+    for j in range(rows.shape[-1]):
+        key = key * q + rows[..., j]
+    return key
+
+
+# -- reflections ------------------------------------------------------------
+#
+# For odd q and v with Q(v) = Q(v, v) != 0, the reflection
+# r_v(x) = x - 2 Q(x, v) / Q(v) * v preserves the form, so it maps each point
+# to one with the same square class of Q(x, x) and keeps Q(x, y) = 0: it is
+# an automorphism of the polarity graph (the dot product) and of the
+# symmetrized character graph.  The reflections generate O(Q)
+# (Cartan-Dieudonne), and by Witt's theorem O(Q) is transitive on the points
+# of each square class (Q(x, x) zero, a square, or a non-square).
+
+
+def _reflection_generators(spec: FieldSpec, V: np.ndarray, weights) -> list[tuple[int, ...]]:
+    """Reflections in vertices, as permutations of the rows of V, a union of
+    square classes of the form with these weights.  Few are kept, with the
+    orbits of all of them: first those that merge orbits, in vertex order,
+    until there is one orbit per square class; then, for the least vertex r
+    of each class, those of the reflections fixing r (in r itself or in a
+    v with Q(v, r) = 0) that merge orbits of the kept ones fixing r.  These
+    are the two levels of orbits that graphcore's orbital branching uses."""
+    if spec.q % 2 == 0:
+        raise ValueError("reflections need an odd field order")
+    add, mul = _np_tables(spec)
+    tables = op_tables(spec)
+    n, q = len(V), spec.q
+    one = spec.index(spec.one())
+    inv = np.argmax(mul == one, axis=1)
+    minus_two = tables.neg[add[one, one]]
+    vertex_of = np.full(q ** V.shape[1], -1, dtype=np.int64)
+    vertex_of[_keys(V, q)] = np.arange(n)
+    norm = _form_diagonal(V, weights, add, mul)
+    square_class = np.array(tables.chi)[norm]
+    classes = sorted(set(square_class.tolist()))
+    chunk = max(1, 2**14 // n)  # mirrors whose images are computed at once
+
+    def reflections(mirrors: np.ndarray) -> np.ndarray:
+        """One row per mirror v: the vertex permutation of r_v."""
+        form = _form_matrix(V[mirrors], V, weights, add, mul)
+        scale = mul[mul[form, inv[norm[mirrors]][:, None]], minus_two]
+        image = add[V, mul[scale[:, :, None], V[mirrors][:, None, :]]]
+        lead = np.take_along_axis(image, (image != 0).argmax(axis=2)[:, :, None], axis=2)
+        return vertex_of[_keys(mul[inv[lead], image], q)]
+
+    kept: list[tuple[int, ...]] = []
+
+    def keep_joining(parent: list[int], mirrors: np.ndarray, orbits: int | None = None) -> None:
+        """Keep each reflection in `mirrors` that merges classes of the
+        union-find forest `parent`; given the count of its classes, stop at
+        one per square class."""
+        for start in range(0, len(mirrors), chunk):
+            for perm in reflections(mirrors[start : start + chunk]).tolist():
+                if orbits == len(classes):
+                    return
+                merged = _merge_orbits(parent, perm)
+                if merged:
+                    kept.append(tuple(perm))
+                    if orbits is not None:
+                        orbits -= merged
+
+    anisotropic = norm != 0
+    keep_joining(list(range(n)), np.flatnonzero(anisotropic), n)
+    for c in classes:
+        r = int(np.flatnonzero(square_class == c)[0])
+        parent = list(range(n))
+        for perm in kept:
+            if perm[r] == r:
+                _merge_orbits(parent, perm)
+        fixing = (_form_matrix(V[r : r + 1], V, weights, add, mul)[0] == 0) | (np.arange(n) == r)
+        keep_joining(parent, np.flatnonzero(fixing & anisotropic))
+    return kept
 
 
 # -- polarity graph ---------------------------------------------------------
@@ -172,6 +261,14 @@ def polarity_graph(q) -> Graph:
         bits[i] = False
         rows.append(_pack_row(bits))
     return Graph(len(P), rows)
+
+
+def polarity_reflections(q) -> list[tuple[int, ...]]:
+    """Automorphisms of polarity_graph(q), odd q, as vertex permutations:
+    reflections in the dot product with the orbits of all of them (see
+    _reflection_generators)."""
+    spec, P, dot = _polarity_setup(q)
+    return _reflection_generators(spec, P, dot)
 
 
 def polarity_absolute_points(q) -> tuple[int, ...]:
@@ -322,3 +419,13 @@ def bip_graph(q, s: int, variant: str = "canonical") -> Graph:
         bits[i] = False
         rows.append(_pack_row(bits))
     return Graph(len(V), rows)
+
+
+def bip_reflections(q, s: int) -> list[tuple[int, ...]]:
+    """Automorphisms of bip_graph(q, s, "symmetrized") as vertex
+    permutations: reflections in the form Q with the orbits of all of them
+    (see _reflection_generators).  The canonical variant's rule
+    chi(Q(x, y)) = 1 depends on the representatives, which a reflection
+    rescales, so it gets none."""
+    spec, V, weights = _square_type(q, s)
+    return _reflection_generators(spec, V, weights)

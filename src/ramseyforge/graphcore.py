@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from operator import and_
+from operator import and_, index
 from typing import Iterable, Iterator, Sequence
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
@@ -66,13 +66,26 @@ class Graph:
             for u in _iter_bits(row):
                 if not rows[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        self._fill(n, rows)
+
+    def _fill(self, n: int, rows: tuple[int, ...]) -> None:
         self.n = n
         self.rows = rows
         self.degrees = tuple(row.bit_count() for row in rows)
         self._edge_count = sum(self.degrees) // 2
 
     @classmethod
+    def _valid(cls, n: int, rows: Iterable[int]) -> "Graph":
+        """A Graph on rows that are valid by construction (in range,
+        loopless, symmetric), so the per-edge check of Graph() is skipped."""
+        G = object.__new__(cls)
+        G._fill(n, tuple(rows))
+        return G
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        if n < 0:
+            raise ValueError("negative vertex count")
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -81,7 +94,7 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, rows)
+        return cls._valid(n, rows)
 
     @property
     def edge_count(self) -> int:
@@ -113,12 +126,23 @@ class Graph:
         vs = list(vertices)
         if any(b <= a for a, b in zip(vs, vs[1:])):
             raise ValueError("vertices must be strictly increasing")
-        return Graph(len(vs), _relabel(self.rows, vs))
+        return Graph._valid(len(vs), _relabel(self.rows, vs))
+
+    def drop_vertex(self, v: int) -> "Graph":
+        """The graph with vertex v deleted; each later vertex moves down one
+        label, as in induced().  Every row has v's bit spliced out."""
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range")
+        low = (1 << v) - 1
+        rows = self.rows
+        return Graph._valid(
+            self.n - 1, [r & low | r >> (v + 1) << v for r in rows[:v] + rows[v + 1 :]]
+        )
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
-        return Graph(
-            self.n, tuple(~row & full & ~(1 << v) for v, row in enumerate(self.rows))
+        return Graph._valid(
+            self.n, [~row & full & ~(1 << v) for v, row in enumerate(self.rows)]
         )
 
     def subgraph_edge_count(self, mask: int) -> int:
@@ -277,7 +301,9 @@ def _color_classes(P: int, others: Sequence[int]) -> list[int]:
     return classes
 
 
-def _max_clique_search(G: Graph, budget: int | None, target: int | None, complement: bool = False):
+def _max_clique_search(
+    G: Graph, budget: int | None, target: int | None, complement: bool = False, floor: int = 0
+):
     """Branch-and-bound maximum clique with greedy-coloring bounds, of G or,
     with complement=True, of its complement (a maximum independent set).
 
@@ -287,7 +313,9 @@ def _max_clique_search(G: Graph, budget: int | None, target: int | None, complem
     by index), which fixes the search tree and therefore the witness
     deterministically.  The search keeps, per vertex, the mask of the
     vertices it is not adjacent to: G's own relabeled rows when the
-    complement is searched, and each row's ~row otherwise.
+    complement is searched, and each row's ~row otherwise.  Only cliques
+    larger than `floor` are sought: with nothing larger, best is 0 and the
+    set empty; floor=0 is the plain search.
     """
     n = G.n
     if n == 0:
@@ -298,13 +326,14 @@ def _max_clique_search(G: Graph, budget: int | None, target: int | None, complem
     if not complement:
         others = [~row for row in others]
     best: tuple[int, ...] = ()
+    cut = floor  # the size a clique must exceed to be kept
     nodes = 0
     R: list[int] = []
 
     def expand(P: int) -> None:
         # this branching order and cut fix the search tree, and with it the
         # witness and the node at which a budget runs out
-        nonlocal best, nodes
+        nonlocal best, cut, nodes
         nodes += 1
         if budget is not None and nodes > budget:
             raise _Stop("budget")
@@ -312,7 +341,7 @@ def _max_clique_search(G: Graph, budget: int | None, target: int | None, complem
         for c in range(len(classes), 0, -1):
             cls = classes[c - 1]
             while cls:
-                if len(R) + c <= len(best):
+                if len(R) + c <= cut:
                     return
                 v = cls.bit_length() - 1
                 cls ^= 1 << v
@@ -321,9 +350,10 @@ def _max_clique_search(G: Graph, budget: int | None, target: int | None, complem
                 sub = P & ~others[v]
                 if sub:
                     expand(sub)
-                elif len(R) > len(best):
+                elif len(R) > cut:
                     best = tuple(R)
-                    if target is not None and len(best) >= target:
+                    cut = len(best)
+                    if target is not None and cut >= target:
                         raise _Stop("target")
                 R.pop()
 
@@ -333,6 +363,121 @@ def _max_clique_search(G: Graph, budget: int | None, target: int | None, complem
     except _Stop as stop:
         status = stop.args[0]
     return len(best), tuple(sorted(order[v] for v in best)), status
+
+
+# --- verified symmetry and orbital branching ----------------------------------
+
+
+def _root(parent: list[int], v: int) -> int:
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    return v
+
+
+def _merge_orbits(parent: list[int], perm: Sequence[int]) -> int:
+    """Join each vertex u with perm[u] in the union-find forest `parent`,
+    whose roots are the least vertices of their classes; returns how many
+    merges that took.  Over a group's generators the classes become its
+    orbits."""
+    merged = 0
+    for u, v in enumerate(perm):
+        if u != v:
+            u, v = _root(parent, u), _root(parent, v)
+            if u != v:
+                parent[max(u, v)] = min(u, v)
+                merged += 1
+    return merged
+
+
+def _orbits(n: int, perms: Sequence[Sequence[int]], within: int) -> list[tuple[int, int]]:
+    """(least vertex, bit mask) of each orbit of the group `perms` generate
+    that lies in the invariant vertex set `within`, by least vertex."""
+    parent = list(range(n))
+    for perm in perms:
+        _merge_orbits(parent, perm)
+    masks: dict[int, int] = {}
+    for v in _iter_bits(within):
+        root = _root(parent, v)
+        masks[root] = masks.get(root, 0) | 1 << v
+    return sorted(masks.items())
+
+
+class Automorphisms:
+    """Vertex permutations of one graph, each checked to map every adjacency
+    row onto the row of its image: perm[u] ~ perm[w] exactly when u ~ w.
+    Any group they generate is a subgroup of Aut(G), which is all that
+    orbital branching needs."""
+
+    __slots__ = ("rows", "perms")
+
+    def __init__(self, G: Graph, perms: Iterable[Sequence[int]]):
+        n, rows = G.n, G.rows
+        neighbours = [list(_iter_bits(row)) for row in rows]
+        checked = []
+        for i, perm in enumerate(perms):
+            try:
+                p = tuple(map(index, perm))
+            except TypeError:
+                raise ValueError(f"generator {i} has a label that is not an integer") from None
+            if len(p) != n:
+                raise ValueError(f"generator {i} has {len(p)} labels for {n} vertices")
+            if sorted(p) != list(range(n)):
+                raise ValueError(f"generator {i} is not a permutation of 0..{n - 1}")
+            for u, around in enumerate(neighbours):
+                if sorted(map(p.__getitem__, around)) != neighbours[p[u]]:
+                    raise ValueError(
+                        f"generator {i} does not map row {u} onto the row of its image {p[u]}"
+                    )
+            checked.append(p)
+        self.rows = rows
+        self.perms = tuple(checked)
+
+
+def _orbital_alpha(G: Graph, symmetry: Automorphisms, floor: int, target: int | None) -> int:
+    """The size of a largest independent set of G if it exceeds `floor`,
+    else `floor`; with a target, any size >= target may be returned early.
+
+    Two levels of orbital branching (Ostrowski, Linderoth, Rossi and
+    Smriglio, Math. Program. 126, 2011).  Take the orbits O_1, O_2, ... of
+    the generated group by least vertex r_j.  A set meeting O_j first can be
+    mapped into one that holds r_j, so it lies in r_j's non-neighbours
+    outside O_1..O_{j-1}: an invariant set of the generators that fix r_j,
+    whose orbits split it the same way one level down.  Each leaf is the
+    plain search on its candidate set, seeking only sets above the best
+    size so far."""
+    if symmetry.rows != G.rows:
+        raise ValueError("automorphisms belong to another graph")
+    rows, n = G.rows, G.n
+    full = (1 << n) - 1
+    best = floor
+    seen = 0  # vertices of the orbits already branched on
+    for r, orbit in _orbits(n, symmetry.perms, full):
+        cand = full & ~(rows[r] | seen | 1 << r)
+        seen |= orbit
+        best = max(best, 1)
+        if 1 + cand.bit_count() <= best:
+            continue
+        fixing = [p for p in symmetry.perms if p[r] == r]
+        seen2 = 0
+        for r2, orbit2 in _orbits(n, fixing, cand):
+            leaf = cand & ~(rows[r2] | seen2 | 1 << r2)
+            seen2 |= orbit2
+            best = max(best, 2)
+            if 2 + leaf.bit_count() <= best:
+                continue
+            vs = list(_iter_bits(leaf))
+            size, _, _ = _max_clique_search(
+                Graph._valid(len(vs), _relabel(rows, vs)),
+                None,
+                None if target is None else target - 2,
+                True,
+                best - 2,
+            )
+            if size:
+                best = 2 + size
+                if target is not None and best >= target:
+                    return best
+    return best
 
 
 @dataclass(frozen=True)
@@ -368,18 +513,33 @@ def max_clique(G: Graph, budget: int | None = None) -> AlphaResult:
     return _clique_number(G, budget, False)
 
 
-def independence_number(G: Graph, budget: int | None = None) -> AlphaResult:
+def independence_number(
+    G: Graph, budget: int | None = None, symmetry: Automorphisms | None = None
+) -> AlphaResult:
     """Exact independence number with witness (the maximum clique of the
     complement); on budget exhaustion returns a certified interval flagged
-    inexact.  Always >= the greedy Turan floor."""
-    result = _clique_number(G, budget, True)
+    inexact.  Always >= the greedy Turan floor.
+
+    Given automorphisms of G and no budget, alpha is proved by orbital
+    branching; the witness is then the first alpha-set of the plain search,
+    which is the set the plain search alone returns."""
+    if symmetry is not None and budget is None:
+        alpha = _orbital_alpha(G, symmetry, 0, None)
+        best, witness, _ = _max_clique_search(G, None, alpha, True)
+        if best != alpha:  # pragma: no cover - would be a solver bug
+            raise AssertionError("orbital branching and the plain search disagree on alpha")
+        result = AlphaResult(alpha, alpha, witness, True)
+    else:
+        result = _clique_number(G, budget, True)
     floor = -(-G.n // ((max(G.degrees) if G.n else 0) + 1))
     if result.upper < floor:  # pragma: no cover - would be a solver bug
         raise AssertionError("independence bound fell below the Turan floor")
     return result
 
 
-def _find_clique(G: Graph, s: int, budget: int | None, complement: bool):
+def _find_clique(
+    G: Graph, s: int, budget: int | None, complement: bool, symmetry: Automorphisms | None = None
+):
     if s <= 0:
         return ()
     if s > G.n:  # no set has more than n distinct vertices
@@ -392,6 +552,8 @@ def _find_clique(G: Graph, s: int, budget: int | None, complement: bool):
             rest = (row ^ flip) >> (u + 1)
             if rest:
                 return u, u + (rest & -rest).bit_length()
+        return None
+    if symmetry is not None and budget is None and _orbital_alpha(G, symmetry, s - 1, s) < s:
         return None
     best, witness, status = _max_clique_search(G, budget, s, complement)
     if status == "target" or best >= s:
@@ -407,9 +569,13 @@ def find_clique(G: Graph, s: int, budget: int | None = None) -> tuple[int, ...] 
     return _find_clique(G, s, budget, False)
 
 
-def find_independent_set(G: Graph, t: int, budget: int | None = None):
-    """An independent set of size t (a t-clique of the complement), or None."""
-    return _find_clique(G, t, budget, True)
+def find_independent_set(
+    G: Graph, t: int, budget: int | None = None, symmetry: Automorphisms | None = None
+):
+    """An independent set of size t (a t-clique of the complement), or None.
+    Given automorphisms of G and no budget, orbital branching decides
+    whether one exists; the set returned is still the plain search's."""
+    return _find_clique(G, t, budget, True, symmetry)
 
 
 # --- forbidden patterns ------------------------------------------------------

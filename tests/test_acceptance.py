@@ -146,31 +146,34 @@ def test_criterion_4_container_bounds(capsys):
 
 
 def _spectral_corpus():
+    """(name, graph, family, params): the family and parameters that rebuild
+    the graph, or None for graphs built otherwise."""
     for q in POLARITY_ORDERS:
-        yield f"er{q}", geo.polarity_graph(q)
+        yield f"er{q}", geo.polarity_graph(q), "er", {"q": q}
     for q in (2, 3, 4):
-        yield f"unital{q}-shadow", gc.shadow_graph(geo.unital_line_hypergraph(q))
+        yield f"unital{q}-shadow", gc.shadow_graph(geo.unital_line_hypergraph(q)), None, None
     for s, _, orders in CHARACTER_CASES:
         for q in orders:
             for variant in ("canonical", "symmetrized"):
-                yield f"bip({q},{s}){variant[:3]}", geo.bip_graph(q, s, variant)
+                params = {"q": q, "s": s, "variant": variant}
+                yield f"bip({q},{s}){variant[:3]}", geo.bip_graph(q, s, variant), "bip", params
     H3 = geo.unital_line_hypergraph(3)
     for i in range(3):
         coloring = tr.random_coloring(H3, tr.derive_seed(5, i))
-        yield f"colored{i}", tr.bichromatic_subgraph(H3, coloring)
-    yield "k55", Graph.from_edges(10, [(i, 5 + j) for i in range(5) for j in range(5)])
+        yield f"colored{i}", tr.bichromatic_subgraph(H3, coloring), None, None
+    yield "k55", Graph.from_edges(10, [(i, 5 + j) for i in range(5) for j in range(5)]), None, None
     yield "petersen", Graph.from_edges(
         10,
         [(i, (i + 1) % 5) for i in range(5)]
         + [(i, i + 5) for i in range(5)]
         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
-    )
+    ), None, None
 
 
 def test_criterion_5_spectral_identities(capsys):
     with criterion(capsys, 5, "spectral identities"):
         hoffman_at = {}
-        for name, G in _spectral_corpus():
+        for name, G, family, params in _spectral_corpus():
             assert G.n <= 500, name
             if G.n == 0:
                 continue
@@ -181,7 +184,9 @@ def test_criterion_5_spectral_identities(capsys):
                 for k in range(1, 11):
                     assert sp.alon_boppana_check(rep, k), (name, k)
             if rep.is_regular and G.edge_count and rep.d - rep.lam_min > 1e-12:
-                alpha = gc.independence_number(G).value
+                # a family with reflections proves alpha by orbital branching
+                symmetry = ce.family_symmetry(family, params, G) if family else None
+                alpha = gc.independence_number(G, symmetry=symmetry).value
                 bound = sp.hoffman_bound(rep)
                 assert bound >= alpha - 1e-9, (name, bound, alpha)
                 hoffman_at[name] = (bound, alpha)

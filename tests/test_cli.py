@@ -13,7 +13,9 @@ import time
 
 import pytest
 
+from ramseyforge import cli
 from ramseyforge import geometry as geo
+from ramseyforge import graphcore as gc
 from ramseyforge import transfer as tr
 from ramseyforge.cli import dispatch
 from ramseyforge.graphcore import read_graph, read_hypergraph
@@ -267,6 +269,70 @@ def test_certificate_bytes_pinned(capsys, tmp_path, args, digest):
     path = tmp_path / "cert.json"
     assert run(capsys, ["certify", *args, "--out", str(path)])[0] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "args, cert_digest, verify_digest",
+    [
+        (["--family", "er", "--q", "3", "--pattern", "c4"],
+         "abe902b71fb2ad73accf2fae9739cc5414d299cb0d32dad04376d6d0ea1cc4f2",
+         "7d4278e740d2ad71c294b67cd8b8d60744d734a2c35c6fca7a3463cd8f764f22"),
+        (["--family", "er", "--q", "5", "--pattern", "c4"],
+         "f680db84cc3d0d9b09aa39fd0b2a03e20f4630bd0515f388abe3affdc949cf1d",
+         "049dcb7d2bda02bc8941923899d9d4a9836656abfa2062f95bd9f5f6d77a9845"),
+        (["--family", "er", "--q", "7", "--pattern", "c4"],
+         "23190e73f436e8afd3195782c9ec44b657a316ccee1fe38a18ced3b61a155710",
+         "e0f06d212bb513f1fb4f0447766e9a38c93883a0d38b6ee5c70b42f1d3a6dc5d"),
+        (["--family", "er", "--q", "9", "--pattern", "c4"],
+         "d05707fd57ebb6df15441f6cbbeea7d07642dd885e889445c160a3311ed44dbb",
+         "5a98ba36a7a8344b2b2256e36571e5923c2e3fc44b13c6c11f5754c3aa9d83d3"),
+        (["--family", "bip", "--q", "5", "--s", "2", "--pattern", "k3"],
+         "b344188329994693f8a24b8a868ef30bf7a35872d3d0b29a7ed14d04b81ec816",
+         "ecfc0c87257d113014e5c02c3e52dcac72f6faa35ebd56ed25c4392fcb891202"),
+        (["--family", "bip", "--q", "7", "--s", "2", "--pattern", "k3"],
+         "8974177151afcb5c1860e9036046cb07bc06144abedf4a27065355a6f1e7eb86",
+         "842743203bd8ea3ccd21c4fb950353e2abe7bcabdbfc56a42e032ac5da415223"),
+        (["--family", "bip", "--q", "11", "--s", "2", "--pattern", "k3"],
+         "54d4566133e00ae5bac5757a1c4f2f49158bbe1eac58a9e60276f4fb11b088a0",
+         "901bd133a4e5dad2f78e3c1abf6eb921503ac8cf9bb2f757c1f4082b5b4125cb"),
+    ],
+)
+def test_whole_graph_certificates_pinned(capsys, tmp_path, monkeypatch, args, cert_digest, verify_digest):
+    # p = 1 with the default t: orbital branching proves alpha, then the
+    # first deletion round; verify proves alpha < t on the whole graph once
+    # more.  The bytes are those of the plain searches.
+    orbital = gc._orbital_alpha
+    calls = []
+
+    def counted(*a):
+        calls.append(a[2:])
+        return orbital(*a)
+
+    monkeypatch.setattr(gc, "_orbital_alpha", counted)
+    path = tmp_path / "cert.json"
+    assert run(capsys, ["certify", *args, "--out", str(path)])[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == cert_digest
+    code, out, _ = run(capsys, ["verify", "--cert", str(path)])
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == verify_digest
+    t = json.loads(path.read_text())["t"]
+    assert calls == [(0, None), (t - 1, t), (t - 1, t)]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--family", "er", "--q", "5", "--pattern", "c4", "--t", "8"],  # t below alpha = 10
+        ["--family", "er", "--q", "5", "--pattern", "c4", "--budget", "100000"],
+    ],
+)
+def test_certify_builds_symmetry_only_for_unbudgeted_default_t(capsys, monkeypatch, args):
+    # an explicit t is searched for as it stands, and a budget keeps the
+    # plain search node for node: neither needs the reflections
+    def refused(*a):
+        raise AssertionError("reflections built")
+
+    monkeypatch.setattr(cli, "family_symmetry", refused)
+    assert run(capsys, ["certify", *args])[0] == 0
 
 
 def test_certify_checks_ambient_pattern_before_alpha(capsys):

@@ -311,3 +311,66 @@ def test_bip_rejects():
         geo.bip_graph(5, 5)
     with pytest.raises(ValueError):
         geo.bip_graph(5, 2, variant="averaged")
+
+
+# --- reflections -----------------------------------------------------------------
+
+
+def reference_reflections(points, weights) -> list[tuple[int, ...]]:
+    """Every reflection x -> x - 2 B(x, v) / B(v, v) v in an anisotropic
+    point v, replayed in field-element arithmetic on the point objects."""
+    index = {p: i for i, p in enumerate(points)}
+    zero = points[0].spec.zero()
+    two = points[0].spec.one() + points[0].spec.one()
+
+    def form(x, y):
+        return sum((w * a * b for w, a, b in zip(weights, x, y)), zero)
+
+    perms = []
+    for v in points:
+        if not form(v, v):
+            continue
+        images = []
+        for x in points:
+            scale = two * form(x, v) / form(v, v)
+            images.append(index[geo.ProjectivePoint([a - scale * b for a, b in zip(x, v)])])
+        perms.append(tuple(images))
+    return perms
+
+
+def two_level_orbits(n: int, perms) -> list:
+    """The orbits of the group, and for the least vertex of each orbit, the
+    orbits of the generators that fix it."""
+    full = (1 << n) - 1
+    top = gc._orbits(n, perms, full)
+    return [top] + [gc._orbits(n, [p for p in perms if p[r] == r], full) for r, _ in top]
+
+
+REFLECTION_CASES = [("er", q, None) for q in (3, 5, 7)] + [
+    ("bip", q, s) for q, s in ((5, 2), (7, 2), (9, 2), (3, 3))
+]
+
+
+@pytest.mark.parametrize("family,q,s", REFLECTION_CASES)
+def test_kept_reflections_have_the_orbits_of_all(family, q, s):
+    # the few reflections kept are automorphisms, and at both levels of
+    # orbital branching their orbits are those of every reflection
+    spec = spec_for(q)
+    one = spec.one()
+    if family == "er":
+        G, kept = geo.polarity_graph(q), geo.polarity_reflections(q)
+        points, weights = geo.enumerate_pg_points(2, spec), (one, one, one)
+    else:
+        G, kept = geo.bip_graph(q, s, "symmetrized"), geo.bip_reflections(q, s)
+        points, weights = geo.bip_vertex_points(q, s), (smallest_nonresidue(spec),) + (one,) * s
+    everything = reference_reflections(points, weights)
+    assert set(kept) <= set(everything) and len(kept) < len(everything)
+    gc.Automorphisms(G, everything)
+    assert two_level_orbits(G.n, kept) == two_level_orbits(G.n, everything)
+
+
+def test_reflections_need_odd_order():
+    with pytest.raises(ValueError, match="odd"):
+        geo.polarity_reflections(4)
+    with pytest.raises(ValueError, match="odd"):
+        geo.bip_reflections(8, 2)

@@ -63,6 +63,8 @@ def test_graph_validation():
         Graph.from_edges(2, [(0, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 5)])
+    with pytest.raises(ValueError, match="negative"):
+        Graph.from_edges(-1, [])
     for row in (1 << 3, -1):
         with pytest.raises(ValueError, match="outside"):
             Graph(3, [0, row, 0])
@@ -388,6 +390,112 @@ def test_find_clique_and_independent_set():
     assert G.subgraph_edge_count(sum(1 << v for v in w)) == 0
     with pytest.raises(gc.UndecidedError):
         gc.find_clique(complete_graph(30), 25, budget=2)
+
+
+# --- verified symmetry ------------------------------------------------------------
+
+
+def reflection_graphs():
+    """(name, graph, reflections) for the criterion-5 families with
+    reflections whose plain alpha takes under a second."""
+    for q in (3, 5, 7):
+        yield f"er{q}", geo.polarity_graph(q), geo.polarity_reflections(q)
+    for q, s in ((5, 1), (7, 1), (5, 2), (7, 2), (9, 2), (11, 2), (13, 2), (3, 3), (5, 3)):
+        yield f"bip({q},{s})", geo.bip_graph(q, s, "symmetrized"), geo.bip_reflections(q, s)
+
+
+def test_automorphisms_reject_non_automorphisms():
+    G = geo.polarity_graph(5)
+    reflection = list(geo.polarity_reflections(5)[0])
+    gc.Automorphisms(G, [reflection])
+    swapped = reflection[:]
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    repeated = reflection[:]
+    repeated[1] = repeated[0]
+    for bad, reason in (
+        (swapped, "does not map row"),
+        (repeated, "not a permutation"),
+        (reflection[:-1], "labels for"),
+        ([float(v) for v in reflection], "not an integer"),
+    ):
+        with pytest.raises(ValueError, match=reason):
+            gc.Automorphisms(G, [reflection, bad])
+    symmetry = gc.Automorphisms(G, [reflection])
+    with pytest.raises(ValueError, match="another graph"):
+        gc.independence_number(G.drop_vertex(0), symmetry=symmetry)
+
+
+def test_orbital_alpha_matches_plain_search():
+    # the same alpha and witness, and the same answer to "is there a t-set"
+    # at t = alpha and alpha + 1; half the generators give the same alpha
+    for name, G, perms in reflection_graphs():
+        plain = gc.independence_number(G)
+        symmetry = gc.Automorphisms(G, perms)
+        assert gc.independence_number(G, symmetry=symmetry) == plain, name
+        a = plain.value
+        assert gc.find_independent_set(G, a + 1, symmetry=symmetry) is None, name
+        assert gc.find_independent_set(G, a, symmetry=symmetry) == gc.find_independent_set(G, a)
+        half = gc.Automorphisms(G, perms[::2])
+        assert gc.independence_number(G, symmetry=half).value == a, name
+
+
+def test_orbital_alpha_bip_7_3():
+    G = geo.bip_graph(7, 3, "symmetrized")
+    result = gc.independence_number(G, symmetry=gc.Automorphisms(G, geo.bip_reflections(7, 3)))
+    assert result.exact and result.value == 30
+    assert len(result.witness) == 30
+    assert G.subgraph_edge_count(sum(1 << v for v in result.witness)) == 0
+
+
+def test_budgeted_searches_ignore_symmetry(monkeypatch):
+    # a budget counts the nodes of the plain engine: the same calls of it,
+    # and so the same node at which the budget runs out
+    G = geo.bip_graph(11, 2, "symmetrized")
+    symmetry = gc.Automorphisms(G, geo.bip_reflections(11, 2))
+    search = gc._max_clique_search
+    calls = []
+
+    def recorded(*args):
+        calls.append((args, search(*args)))
+        return calls[-1][1]
+
+    def outcomes(symmetry):
+        got = []
+        for budget in (1, 30, 300, 3000, 10**6):
+            got.append(gc.independence_number(G, budget, symmetry))
+            try:
+                got.append(gc.find_independent_set(G, 24, budget, symmetry))
+            except gc.UndecidedError as exc:
+                got.append(str(exc))
+        return got
+
+    monkeypatch.setattr(gc, "_max_clique_search", recorded)
+    plain = outcomes(None)
+    plain_calls, calls[:] = calls[:], []
+    monkeypatch.setattr(gc, "_orbital_alpha", None)  # any orbital call fails
+    assert outcomes(symmetry) == plain
+    assert calls == plain_calls
+    assert [result.exact for result in plain[::2]] == [False, False, False, False, True]
+
+
+def test_drop_vertex_matches_induced():
+    rng = random.Random(2210)
+    for _ in range(40):
+        n = rng.randint(1, 40)
+        G = random_graph(n, rng.random(), rng)
+        alive = sorted(rng.sample(range(n), rng.randint(1, n)))
+        sub = G.induced(alive)
+        while alive:
+            victim = rng.randrange(len(alive))
+            del alive[victim]
+            sub = sub.drop_vertex(victim)
+            want = G.induced(alive)
+            assert (sub.n, sub.rows, sub.degrees, sub.edge_count) == (
+                want.n, want.rows, want.degrees, want.edge_count
+            )
+            assert Graph(sub.n, sub.rows) == sub
+    with pytest.raises(ValueError):
+        petersen().drop_vertex(10)
 
 
 # --- enumeration ---------------------------------------------------------------
