@@ -28,6 +28,7 @@ from .geometry import (
 )
 from .gf import spec_for
 from .graphcore import (
+    AlphaResult,
     Automorphisms,
     ForbiddenPattern,
     Graph,
@@ -182,7 +183,7 @@ def sample_and_delete(
     family: str,
     params: dict,
     budget: int | None = None,
-    symmetry: Automorphisms | None = None,
+    alpha: AlphaResult | None = None,
 ) -> RamseyCertificate:
     """Sample vertices with probability p, then, while the induced subgraph
     still has an independent set of size t, delete one vertex of a found set
@@ -190,8 +191,8 @@ def sample_and_delete(
 
     With p = 1 the whole procedure is deterministic, so repeated runs agree
     exactly.  If the exact solver runs out of budget the certificate is
-    emitted with valid=False (unverified is never valid).  Automorphisms of
-    G serve the first round when the sample is all of G.
+    emitted with valid=False (unverified is never valid).  Given alpha =
+    independence_number(G), a t above alpha.upper leaves nothing to search.
     """
     if t < 1:
         raise ValueError("need t >= 1")
@@ -200,9 +201,9 @@ def sample_and_delete(
     trace: list[int] = []
     undecided = False
     sub = G if len(alive) == G.n else G.induced(alive)
-    while alive:
+    while alive and (alpha is None or alpha.upper >= t):
         try:
-            found = find_independent_set(sub, t, budget, symmetry if sub is G else None)
+            found = find_independent_set(sub, t, budget)
         except UndecidedError:
             undecided = True
             break
@@ -212,8 +213,8 @@ def sample_and_delete(
         trace.append(alive[victim])
         del alive[victim]
         sub = sub.drop_vertex(victim)
-    # G is F-free, so G[alive] is too, and the last round found no
-    # independent t-set: a decided loop has proved both claims
+    # G is F-free, so G[alive] is too, and the last round (or alpha) found
+    # no independent t-set: a decided loop has proved both claims
     return RamseyCertificate(
         family=family,
         params={**params, "p": p},

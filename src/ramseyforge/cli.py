@@ -232,6 +232,14 @@ def _cmd_transfer(args, run: _Run) -> int:
 
 
 def _cmd_certify(args, run: _Run) -> int:
+    # reject what no run can use before any build or search
+    if not 0 < args.p <= 1:
+        raise ValueError("need 0 < p <= 1")
+    if args.family == "unital-transfer":
+        if args.p != 1 or (args.pattern and ForbiddenPattern.parse(args.pattern).name != "k4"):
+            raise ValueError("certify --family unital-transfer certifies k4 at p = 1 only")
+    elif args.trials != 1:
+        raise ValueError(f"certify --family {args.family} runs one trial; --trials must be 1")
     budget = _budget(args)
     if args.family == "unital-transfer":
         cert = pipeline_unital(args.q, args.trials, args.seed, t=args.t, budget=budget)
@@ -245,14 +253,14 @@ def _cmd_certify(args, run: _Run) -> int:
             params = {"q": args.q, "s": args.s, "variant": args.variant}
         G = build_family(args.family, params)
         F = ForbiddenPattern.parse(pattern)
-        t, symmetry = args.t, None
+        t, alpha = args.t, None
         if t is None:  # settle the ambient pattern before the costly alpha
             check_ambient(G, F, budget)
-            if budget is None:  # for the searches on the whole of G
-                symmetry = family_symmetry(args.family, params, G)
-            t = independence_number(G, budget, symmetry).value + 1
+            symmetry = None if budget is not None else family_symmetry(args.family, params, G)
+            alpha = independence_number(G, budget, symmetry)
+            t = alpha.value + 1
         cert = sample_and_delete(
-            G, F, t, args.p, args.seed, args.family, params, budget=budget, symmetry=symmetry
+            G, F, t, args.p, args.seed, args.family, params, budget=budget, alpha=alpha
         )
     _emit(cert.to_json() + "\n", args, run)
     return EXIT_OK if cert.valid else EXIT_FAIL

@@ -433,9 +433,10 @@ class Automorphisms:
         self.perms = tuple(checked)
 
 
-def _orbital_alpha(G: Graph, symmetry: Automorphisms, floor: int, target: int | None) -> int:
-    """The size of a largest independent set of G if it exceeds `floor`,
-    else `floor`; with a target, any size >= target may be returned early.
+def _orbital_alpha(G: Graph, symmetry: Automorphisms, floor: int, target: int | None):
+    """(size, sorted set) of a largest independent set of G if it has more
+    than `floor` vertices, else (floor, ()); with a target, any set of at
+    least that size may be returned early.
 
     Two levels of orbital branching (Ostrowski, Linderoth, Rossi and
     Smriglio, Math. Program. 126, 2011).  Take the orbits O_1, O_2, ... of
@@ -444,17 +445,18 @@ def _orbital_alpha(G: Graph, symmetry: Automorphisms, floor: int, target: int | 
     outside O_1..O_{j-1}: an invariant set of the generators that fix r_j,
     whose orbits split it the same way one level down.  Each leaf is the
     plain search on its candidate set, seeking only sets above the best
-    size so far."""
+    size so far; the set kept is r, r2 and the leaf's set."""
     if symmetry.rows != G.rows:
         raise ValueError("automorphisms belong to another graph")
     rows, n = G.rows, G.n
     full = (1 << n) - 1
-    best = floor
+    best, witness = floor, ()
     seen = 0  # vertices of the orbits already branched on
     for r, orbit in _orbits(n, symmetry.perms, full):
         cand = full & ~(rows[r] | seen | 1 << r)
         seen |= orbit
-        best = max(best, 1)
+        if best < 1:
+            best, witness = 1, (r,)
         if 1 + cand.bit_count() <= best:
             continue
         fixing = [p for p in symmetry.perms if p[r] == r]
@@ -462,11 +464,12 @@ def _orbital_alpha(G: Graph, symmetry: Automorphisms, floor: int, target: int | 
         for r2, orbit2 in _orbits(n, fixing, cand):
             leaf = cand & ~(rows[r2] | seen2 | 1 << r2)
             seen2 |= orbit2
-            best = max(best, 2)
+            if best < 2:
+                best, witness = 2, (r, r2)
             if 2 + leaf.bit_count() <= best:
                 continue
             vs = list(_iter_bits(leaf))
-            size, _, _ = _max_clique_search(
+            size, found, _ = _max_clique_search(
                 Graph._valid(len(vs), _relabel(rows, vs)),
                 None,
                 None if target is None else target - 2,
@@ -475,9 +478,10 @@ def _orbital_alpha(G: Graph, symmetry: Automorphisms, floor: int, target: int | 
             )
             if size:
                 best = 2 + size
+                witness = tuple(sorted((r, r2, *map(vs.__getitem__, found))))
                 if target is not None and best >= target:
-                    return best
-    return best
+                    return best, witness
+    return best, witness
 
 
 @dataclass(frozen=True)
@@ -520,14 +524,10 @@ def independence_number(
     complement); on budget exhaustion returns a certified interval flagged
     inexact.  Always >= the greedy Turan floor.
 
-    Given automorphisms of G and no budget, alpha is proved by orbital
-    branching; the witness is then the first alpha-set of the plain search,
-    which is the set the plain search alone returns."""
+    Given automorphisms of G and no budget, alpha and its witness come from
+    orbital branching."""
     if symmetry is not None and budget is None:
-        alpha = _orbital_alpha(G, symmetry, 0, None)
-        best, witness, _ = _max_clique_search(G, None, alpha, True)
-        if best != alpha:  # pragma: no cover - would be a solver bug
-            raise AssertionError("orbital branching and the plain search disagree on alpha")
+        alpha, witness = _orbital_alpha(G, symmetry, 0, None)
         result = AlphaResult(alpha, alpha, witness, True)
     else:
         result = _clique_number(G, budget, True)
@@ -553,14 +553,13 @@ def _find_clique(
             if rest:
                 return u, u + (rest & -rest).bit_length()
         return None
-    if symmetry is not None and budget is None and _orbital_alpha(G, symmetry, s - 1, s) < s:
-        return None
-    best, witness, status = _max_clique_search(G, budget, s, complement)
-    if status == "target" or best >= s:
-        return tuple(sorted(witness[:s])) if len(witness) > s else witness
-    if status == "budget":
-        raise UndecidedError(f"clique({s}) search exhausted budget {budget}")
-    return None
+    if symmetry is not None and budget is None:
+        best, witness = _orbital_alpha(G, symmetry, s - 1, s)
+    else:
+        best, witness, status = _max_clique_search(G, budget, s, complement)
+        if status == "budget":
+            raise UndecidedError(f"clique({s}) search exhausted budget {budget}")
+    return witness[:s] if best >= s else None  # a sorted set's prefix stays sorted
 
 
 def find_clique(G: Graph, s: int, budget: int | None = None) -> tuple[int, ...] | None:
@@ -574,7 +573,7 @@ def find_independent_set(
 ):
     """An independent set of size t (a t-clique of the complement), or None.
     Given automorphisms of G and no budget, orbital branching decides
-    whether one exists; the set returned is still the plain search's."""
+    whether one exists and returns it."""
     return _find_clique(G, t, budget, True, symmetry)
 
 

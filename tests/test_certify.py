@@ -104,6 +104,29 @@ def test_subsampled_certificate_replays(er3):
     assert ce.verify_certificate(cert).status == "VALID"
 
 
+@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("p, seed", [(1.0, 0), (0.5, 4)])
+def test_alpha_below_t_skips_the_deletion_loop(monkeypatch, q, p, seed):
+    # alpha.upper bounds alpha of every sample of G: with t above it the
+    # certificate is the one the searching loop gives, with no search; with
+    # t at or below it the loop runs as before
+    G = geo.polarity_graph(q)
+    alpha = gc.independence_number(G)
+    a = alpha.value
+
+    def certify(t, alpha=None):
+        return ce.sample_and_delete(G, ForbiddenPattern.c4(), t, p, seed, "er", {"q": q}, alpha=alpha)
+
+    searched, above = certify(a), certify(a + 1)
+    assert certify(a, alpha) == searched
+
+    def refused(*args):
+        raise AssertionError("independent set searched for")
+
+    monkeypatch.setattr(ce, "find_independent_set", refused)
+    assert certify(a + 1, alpha) == above
+
+
 def test_ambient_must_be_pattern_free(er3):
     with pytest.raises(ValueError, match="contains k3"):
         ce.sample_and_delete(er3, ForbiddenPattern.clique(3), 5, 1.0, 0, "er", {"q": 3})

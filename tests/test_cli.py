@@ -298,24 +298,33 @@ def test_certificate_bytes_pinned(capsys, tmp_path, args, digest):
     ],
 )
 def test_whole_graph_certificates_pinned(capsys, tmp_path, monkeypatch, args, cert_digest, verify_digest):
-    # p = 1 with the default t: orbital branching proves alpha, then the
-    # first deletion round; verify proves alpha < t on the whole graph once
-    # more.  The bytes are those of the plain searches.
-    orbital = gc._orbital_alpha
-    calls = []
+    # p = 1 with the default t: one orbital proof of alpha, whose upper
+    # bound leaves the deletion loop nothing to search; verify proves
+    # alpha < t on the whole graph once more, on its own.  No independence
+    # search runs on all of G: the plain engine runs on the leaves only
+    orbital, search = gc._orbital_alpha, gc._max_clique_search
+    calls, searched = [], []
 
     def counted(*a):
         calls.append(a[2:])
         return orbital(*a)
 
+    def plain(G, budget, target, complement=False, floor=0):
+        if complement:
+            searched.append(G.n)
+        return search(G, budget, target, complement, floor)
+
     monkeypatch.setattr(gc, "_orbital_alpha", counted)
+    monkeypatch.setattr(gc, "_max_clique_search", plain)
     path = tmp_path / "cert.json"
     assert run(capsys, ["certify", *args, "--out", str(path)])[0] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == cert_digest
     code, out, _ = run(capsys, ["verify", "--cert", str(path)])
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == verify_digest
-    t = json.loads(path.read_text())["t"]
-    assert calls == [(0, None), (t - 1, t), (t - 1, t)]
+    cert = json.loads(path.read_text())
+    t, n = cert["t"], cert["witnessCount"]
+    assert calls == [(0, None), (t - 1, t)]
+    assert cert["deletionTrace"] == [] and all(m < n for m in searched)
 
 
 @pytest.mark.parametrize(
@@ -333,6 +342,43 @@ def test_certify_builds_symmetry_only_for_unbudgeted_default_t(capsys, monkeypat
 
     monkeypatch.setattr(cli, "family_symmetry", refused)
     assert run(capsys, ["certify", *args])[0] == 0
+
+
+@pytest.mark.parametrize("p", ["2", "0", "-0.5", "nan"])
+def test_certify_rejects_p_before_alpha(capsys, monkeypatch, p):
+    # p is checked before the proof of alpha, which takes minutes on ER_11
+    def refused(*a):
+        raise AssertionError("alpha proved")
+
+    monkeypatch.setattr(cli, "independence_number", refused)
+    code, out, err = run(capsys, ["certify", "--family", "er", "--q", "9", "--pattern", "c4", "--p", p])
+    assert code == 2 and out == "" and "need 0 < p <= 1" in err
+
+
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (["--family", "unital-transfer", "--q", "3", "--p", "0.5", "--pattern", "c5", "--t", "12"], "k4 at p = 1"),
+        (["--family", "unital-transfer", "--q", "3", "--p", "0.5", "--t", "12"], "k4 at p = 1"),
+        (["--family", "unital-transfer", "--q", "3", "--pattern", "c5", "--t", "12"], "k4 at p = 1"),
+        (["--family", "er", "--q", "3", "--pattern", "c4", "--trials", "2"], "--trials must be 1"),
+        (["--family", "bip", "--q", "5", "--s", "2", "--pattern", "k3", "--trials", "0"], "--trials must be 1"),
+    ],
+)
+def test_certify_rejects_options_it_would_ignore(capsys, monkeypatch, args, reason):
+    def refused(*a, **k):
+        raise AssertionError("certificate built")
+
+    for name in ("build_family", "pipeline_unital"):
+        monkeypatch.setattr(cli, name, refused)
+    code, out, err = run(capsys, ["certify", *args])
+    assert code == 2 and out == "" and reason in err
+
+
+def test_certify_unital_transfer_accepts_k4_at_p_1(capsys):
+    code, out, _ = run(capsys, ["certify", "--family", "unital-transfer", "--q", "3", "--pattern", "K4",
+                                "--p", "1", "--t", "3"])
+    assert code == 0 and json.loads(out)["pattern"] == "k4"
 
 
 def test_certify_checks_ambient_pattern_before_alpha(capsys):

@@ -425,18 +425,63 @@ def test_automorphisms_reject_non_automorphisms():
         gc.independence_number(G.drop_vertex(0), symmetry=symmetry)
 
 
+def is_sorted_independent_set(G, vs, size):
+    return (
+        len(vs) == size
+        and list(vs) == sorted(set(vs))
+        and all(0 <= v < G.n for v in vs)
+        and G.subgraph_edge_count(sum(1 << v for v in vs)) == 0
+    )
+
+
 def test_orbital_alpha_matches_plain_search():
-    # the same alpha and witness, and the same answer to "is there a t-set"
-    # at t = alpha and alpha + 1; half the generators give the same alpha
+    # the same alpha, and the same answer to "is there a t-set" at
+    # t = alpha and alpha + 1; each orbital witness is a sorted independent
+    # set of the size asked for; half the generators give the same alpha
     for name, G, perms in reflection_graphs():
         plain = gc.independence_number(G)
         symmetry = gc.Automorphisms(G, perms)
-        assert gc.independence_number(G, symmetry=symmetry) == plain, name
+        orbital = gc.independence_number(G, symmetry=symmetry)
+        assert (orbital.lower, orbital.upper, orbital.exact) == (plain.lower, plain.upper, True)
         a = plain.value
+        assert is_sorted_independent_set(G, orbital.witness, a), name
+        for t in (3, a - 1, a):
+            found = gc.find_independent_set(G, t, symmetry=symmetry)
+            assert is_sorted_independent_set(G, found, t), (name, t)
         assert gc.find_independent_set(G, a + 1, symmetry=symmetry) is None, name
-        assert gc.find_independent_set(G, a, symmetry=symmetry) == gc.find_independent_set(G, a)
         half = gc.Automorphisms(G, perms[::2])
         assert gc.independence_number(G, symmetry=half).value == a, name
+
+
+def test_orbital_alpha_small_witnesses():
+    # alpha 1 and 2 are settled by the branch vertices alone, before any leaf
+    # search; the rotations of a cycle and a clique are automorphisms
+    clique = Graph.from_edges(4, itertools.combinations(range(4), 2))
+    for G in (cycle_graph(5), cycle_graph(6), cycle_graph(7), clique):
+        symmetry = gc.Automorphisms(G, [[(v + 1) % G.n for v in range(G.n)]])
+        a = gc.independence_number(G).value
+        result = gc.independence_number(G, symmetry=symmetry)
+        assert result.exact and is_sorted_independent_set(G, result.witness, a), G
+
+
+def test_orbital_searches_make_no_whole_graph_search(monkeypatch):
+    # orbital branching returns its own witness: the plain engine runs on
+    # the leaves only, never on all of G
+    search = gc._max_clique_search
+    searched = []
+
+    def recorded(G, *args):
+        searched.append(G.n)
+        return search(G, *args)
+
+    monkeypatch.setattr(gc, "_max_clique_search", recorded)
+    for name, G, perms in reflection_graphs():
+        symmetry = gc.Automorphisms(G, perms)
+        a = gc.independence_number(G, symmetry=symmetry).value
+        gc.find_independent_set(G, a, symmetry=symmetry)
+        gc.find_independent_set(G, a + 1, symmetry=symmetry)
+        assert searched and max(searched) < G.n, name
+        searched.clear()
 
 
 def test_orbital_alpha_bip_7_3():
