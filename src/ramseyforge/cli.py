@@ -240,6 +240,8 @@ def _cmd_certify(args, run: _Run) -> int:
             raise ValueError("certify --family unital-transfer certifies k4 at p = 1 only")
     elif args.trials != 1:
         raise ValueError(f"certify --family {args.family} runs one trial; --trials must be 1")
+    if args.family != "bip" and (args.s is not None or args.variant is not None):
+        raise ValueError(f"certify --family {args.family} takes no --s or --variant")
     budget = _budget(args)
     if args.family == "unital-transfer":
         cert = pipeline_unital(args.q, args.trials, args.seed, t=args.t, budget=budget)
@@ -250,7 +252,7 @@ def _cmd_certify(args, run: _Run) -> int:
                 raise ValueError("certify --family bip needs --s")
             if not args.pattern:
                 raise ValueError("certify --family bip needs --pattern")
-            params = {"q": args.q, "s": args.s, "variant": args.variant}
+            params = {"q": args.q, "s": args.s, "variant": args.variant or "symmetrized"}
         G = build_family(args.family, params)
         F = ForbiddenPattern.parse(pattern)
         t, alpha = args.t, None
@@ -340,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("er", "bip", "unital-transfer"), required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--s", type=int, default=None)
-    p.add_argument("--variant", choices=("canonical", "symmetrized"), default="symmetrized")
+    p.add_argument("--variant", choices=("canonical", "symmetrized"), default=None)
     p.add_argument("--pattern", default=None)
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--t", type=int, default=None)

@@ -8,7 +8,7 @@ graphs on the square-type points of PG(s,q).
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -132,18 +132,6 @@ def _form_diagonal(P, weights, add, mul) -> np.ndarray:
     return acc
 
 
-def _form_rows(L, R, weights, add, mul):
-    """Yield (i, acc) where acc[j] is the index of Q(L[i], R[j])."""
-    W = np.asarray(weights, dtype=np.int32)
-    S = mul[W[None, :], L]
-    m = L.shape[1]
-    for i in range(L.shape[0]):
-        acc = mul[S[i, 0], R[:, 0]]
-        for j in range(1, m):
-            acc = add[acc, mul[S[i, j], R[:, j]]]
-        yield i, acc
-
-
 def _form_matrix(L, R, weights, add, mul) -> np.ndarray:
     """acc[i, j] is the index of Q(L[i], R[j]), for a few rows L."""
     S = mul[np.asarray(weights, dtype=np.int32)[None, :], L]
@@ -153,8 +141,20 @@ def _form_matrix(L, R, weights, add, mul) -> np.ndarray:
     return acc
 
 
-def _pack_row(bits: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+def _blocks(count: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of range(count), each of about 2**16 / width
+    items, so that a block of rows `width` wide stays near 2**16 entries."""
+    step = max(1, 2**16 // width)
+    for start in range(0, count, step):
+        yield slice(start, min(count, start + step))
+
+
+def _packed_rows(bits: np.ndarray, block: slice) -> list[int]:
+    """Adjacency rows of the vertices in `block`, from their rows of `bits`
+    with each vertex's own (loop) bit cleared."""
+    bits[np.arange(bits.shape[0]), np.arange(block.start, block.stop)] = False
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _keys(rows: np.ndarray, q: int) -> np.ndarray:
@@ -252,15 +252,35 @@ def _polarity_setup(q) -> tuple[FieldSpec, np.ndarray, tuple[int, int, int]]:
 def polarity_graph(q) -> Graph:
     """Orthogonal polarity graph on the points of PG(2, q): u ~ v iff
     u.v = 0.  Self-orthogonal (absolute) points keep their vertex but lose
-    the loop, so q+1 vertices have degree q and the rest degree q+1."""
-    spec, P, dot = _polarity_setup(q)
+    the loop, so q+1 vertices have degree q and the rest degree q+1.
+
+    No form is evaluated: the neighbours of x are the q+1 points of its
+    polar line x.y = 0, listed by solving for one coordinate, and their
+    vertex indices follow from the order of _point_rows: (0,0,1) is 0,
+    (0,1,b) is 1 + b and (1,a,b) is 1 + q + aq + b."""
+    spec, P, _ = _polarity_setup(q)
     add, mul = _np_tables(spec)
-    rows = []
-    for i, acc in _form_rows(P, P, dot, add, mul):
-        bits = acc == 0
-        bits[i] = False
-        rows.append(_pack_row(bits))
-    return Graph(len(P), rows)
+    neg = np.array(op_tables(spec).neg, dtype=np.int32)
+    inv = np.argmax(mul == spec.index(spec.one()), axis=1)
+    q, n = spec.q, len(P)
+    free = np.arange(q)[None, :]  # the free coordinate of the line's points
+    rows: list[int] = []
+    for block in _blocks(n, n):
+        x0, x1, x2 = (c[:, None] for c in P[block].T)
+        # x2 != 0: (1, a, -(x0 + x1 a)/x2) for each a, and (0, 1, -x1/x2)
+        solved = mul[neg[add[x0, mul[x1, free]]], inv[x2]]
+        line = np.where(
+            x2 != 0,
+            1 + q + free * q + solved,
+            # x2 = 0 != x1: (1, -x0/x1, b) for each b; x = (1, 0, 0): (0, 1, b)
+            np.where(x1 != 0, 1 + q + mul[neg[x0], inv[x1]] * q + free, 1 + free),
+        )
+        # and (0, 1, -x1/x2), or (0, 0, 1) when x2 = 0
+        last = np.where(x2 != 0, 1 + mul[neg[x1], inv[x2]], 0)
+        bits = np.zeros((len(line), n), dtype=bool)
+        bits[np.arange(len(line))[:, None], np.hstack([line, last])] = True
+        rows += _packed_rows(bits, block)
+    return Graph(n, rows)
 
 
 def polarity_reflections(q) -> list[tuple[int, ...]]:
@@ -345,14 +365,15 @@ def hermitian_unital(q) -> BlockDesign:
     # every line of PG(2,q^2), taken as a dual coordinate vector, meets the
     # curve in exactly 1 (tangent) or q+1 (secant) points
     one = spec.index(spec.one())
-    blocks = []
-    for _, acc in _form_rows(P, R, (one, one, one), add, mul):
-        hits = np.nonzero(acc == 0)[0]
-        if len(hits) == 1:
-            continue
-        if len(hits) != q + 1:
-            raise AssertionError(f"line meets curve in {len(hits)} points")
-        blocks.append(tuple(int(t) for t in hits))
+    blocks: list[list[int]] = []
+    for lines in _blocks(len(P), len(R)):
+        hits = _form_matrix(P[lines], R, (one, one, one), add, mul) == 0
+        counts = hits.sum(axis=1)
+        odd = (counts != 1) & (counts != q + 1)
+        if odd.any():
+            raise AssertionError(f"line meets curve in {counts[odd][0]} points")
+        secants = hits[counts == q + 1]
+        blocks += np.nonzero(secants)[1].reshape(len(secants), q + 1).tolist()
     design = BlockDesign(_points(R, spec), blocks)
     if len(design.blocks) != q * q * (q * q - q + 1) or not design.is_steiner():
         raise AssertionError("unital block structure is not a 2-design")
@@ -410,15 +431,12 @@ def bip_graph(q, s: int, variant: str = "canonical") -> Graph:
     spec, V, weights = _square_type(q, s)
     add, mul = _np_tables(spec)
     chi = np.array(op_tables(spec).chi, dtype=np.int8)
-    rows = []
-    for i, acc in _form_rows(V, V, weights, add, mul):
-        if variant == "canonical":
-            bits = chi[acc] == 1
-        else:
-            bits = acc == 0
-        bits[i] = False
-        rows.append(_pack_row(bits))
-    return Graph(len(V), rows)
+    n = len(V)
+    rows: list[int] = []
+    for block in _blocks(n, n):
+        acc = _form_matrix(V[block], V, weights, add, mul)
+        rows += _packed_rows(chi[acc] == 1 if variant == "canonical" else acc == 0, block)
+    return Graph(n, rows)
 
 
 def bip_reflections(q, s: int) -> list[tuple[int, ...]]:

@@ -39,12 +39,50 @@ def _iter_bits(mask: int) -> Iterator[int]:
         yield v
 
 
+_FEW_BITS = 64  # up to this many bits, one shift or sum per bit is quickest
+
+
+def _bit_list(mask: int) -> list[int]:
+    """The set bits of mask, ascending.  Past _FEW_BITS of them they are
+    read off the binary digits, in time linear in the mask's length: each
+    shift of _iter_bits copies the rest of the mask."""
+    if mask.bit_count() <= _FEW_BITS:
+        return list(_iter_bits(mask))
+    digits = bin(mask)[:1:-1]  # digits[i] is bit i
+    bits, i = [], digits.find("1")
+    while i >= 0:
+        bits.append(i)
+        i = digits.find("1", i + 1)
+    return bits
+
+
+def _from_bits(bits: Sequence[int]) -> int:
+    """The mask with the distinct `bits` set.  Past _FEW_BITS of them it is
+    parsed from binary digits, in time linear in the top bit: each sum of a
+    power of two copies the growing mask."""
+    if len(bits) <= _FEW_BITS:
+        return sum(1 << b for b in bits)
+    top = max(bits)
+    digits = bytearray(b"0") * (top + 1)  # digits[top - i] is bit i
+    for b in bits:
+        digits[top - b] = 49  # ord("1")
+    return int(digits, 2)
+
+
 def _relabel(rows: Sequence[int], order: Sequence[int]) -> list[int]:
     """Rows of the subgraph induced on the distinct vertices `order`, in
-    which vertex i is order[i]; only the kept bits of each row are walked."""
+    which vertex i is order[i]; only the kept bits of each row are walked,
+    so each row costs time linear in its length and its degree."""
     pos = {v: i for i, v in enumerate(order)}
-    mask = sum(1 << v for v in order)
-    return [sum(1 << pos[u] for u in _iter_bits(rows[v] & mask)) for v in order]
+    mask = _from_bits(order)
+    out = []
+    for v in order:
+        kept = rows[v] & mask
+        if kept.bit_count() <= _FEW_BITS:
+            out.append(sum(1 << pos[u] for u in _iter_bits(kept)))
+        else:
+            out.append(_from_bits([pos[u] for u in _bit_list(kept)]))
+    return out
 
 
 class Graph:
@@ -693,6 +731,15 @@ def _iter_cycles_exact(G: Graph, k: int, budget: int | None) -> Iterator[list[in
         yield from walk(s, k - 1, 1 << s)
 
 
+def _edge_with_common(rows: Sequence[int], k: int) -> bool:
+    """True when some edge uv has k common neighbours of u and v."""
+    return any(
+        (row & rows[v]).bit_count() >= k
+        for u, row in enumerate(rows)
+        for v in _iter_bits(row >> (u + 1) << (u + 1))
+    )
+
+
 def is_pattern_free(
     G: Graph, F: ForbiddenPattern, budget: int | None = None
 ) -> tuple[bool, list[int] | None]:
@@ -700,6 +747,11 @@ def is_pattern_free(
     vertex list (clique members, or cycle in traversal order) that
     re-validates against the adjacency."""
     if F.kind == "clique":
+        # the endpoints of an edge of a K_s share s - 2 neighbours; under a
+        # budget the search itself must run, so that exhausting it still
+        # reports undecided
+        if budget is None and not _edge_with_common(G.rows, F.size - 2):
+            return True, None
         w = find_clique(G, F.size, budget)
         return (True, None) if w is None else (False, list(w))
     if F.kind == "c4":

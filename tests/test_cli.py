@@ -363,6 +363,11 @@ def test_certify_rejects_p_before_alpha(capsys, monkeypatch, p):
         (["--family", "unital-transfer", "--q", "3", "--pattern", "c5", "--t", "12"], "k4 at p = 1"),
         (["--family", "er", "--q", "3", "--pattern", "c4", "--trials", "2"], "--trials must be 1"),
         (["--family", "bip", "--q", "5", "--s", "2", "--pattern", "k3", "--trials", "0"], "--trials must be 1"),
+        (["--family", "er", "--q", "3", "--pattern", "c4", "--s", "7"], "takes no --s or --variant"),
+        (["--family", "er", "--q", "3", "--pattern", "c4", "--variant", "canonical"], "takes no --s or --variant"),
+        (["--family", "er", "--q", "3", "--variant", "symmetrized"], "takes no --s or --variant"),
+        (["--family", "unital-transfer", "--q", "3", "--s", "2", "--t", "12"], "takes no --s or --variant"),
+        (["--family", "unital-transfer", "--q", "3", "--variant", "canonical"], "takes no --s or --variant"),
     ],
 )
 def test_certify_rejects_options_it_would_ignore(capsys, monkeypatch, args, reason):
@@ -373,6 +378,14 @@ def test_certify_rejects_options_it_would_ignore(capsys, monkeypatch, args, reas
         monkeypatch.setattr(cli, name, refused)
     code, out, err = run(capsys, ["certify", *args])
     assert code == 2 and out == "" and reason in err
+
+
+@pytest.mark.parametrize("variant", [None, "symmetrized", "canonical"])
+def test_certify_bip_variant_defaults_to_symmetrized(capsys, variant):
+    extra = [] if variant is None else ["--variant", variant]
+    code, out, _ = run(capsys, ["certify", "--family", "bip", "--q", "5", "--s", "2", "--pattern", "k3",
+                                "--t", "4", *extra])
+    assert code == 0 and json.loads(out)["params"]["variant"] == (variant or "symmetrized")
 
 
 def test_certify_unital_transfer_accepts_k4_at_p_1(capsys):

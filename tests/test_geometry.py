@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from ramseyforge import geometry as geo
 from ramseyforge import graphcore as gc
-from ramseyforge.gf import quadratic_character, smallest_nonresidue, spec_for
+from ramseyforge.gf import (
+    modulus_table,
+    op_tables,
+    quadratic_character,
+    smallest_nonresidue,
+    spec_for,
+)
 
 
 # --- projective points -------------------------------------------------------
@@ -118,6 +126,64 @@ def test_polarity_matches_direct_arithmetic():
     assert geo.polarity_graph(3) == gc.Graph.from_edges(len(pts), edges)
 
 
+def form_values(spec, L, R, weights):
+    """Reference, one row of L at a time: the index of Q(x, y) for each x
+    in L and y in R, summing weights[j] x_j y_j through the field's index
+    tables (the row-by-row form evaluation the constructions once ran)."""
+    t = op_tables(spec)
+    add, mul = np.array(t.add), np.array(t.mul)
+    for x in L:
+        acc = np.zeros(len(R), dtype=np.int64)
+        for j, w in enumerate(weights):
+            acc = add[acc, mul[mul[w, x[j]], R[:, j]]]
+        yield acc
+
+
+def packed(bits) -> int:
+    return sum(1 << int(j) for j in np.flatnonzero(bits))
+
+
+def polarity_rows_by_form(q, vertices):
+    """Reference rows of ER_q for `vertices`: the points y with x.y = 0,
+    minus x itself."""
+    spec = spec_for(q)
+    P = geo._point_rows(2, spec)
+    one = spec.index(spec.one())
+    return [
+        packed(acc == 0) & ~(1 << v)
+        for v, acc in zip(vertices, form_values(spec, P[vertices], P, (one,) * 3))
+    ]
+
+
+POLARITY_ORDERS = [q for q in modulus_table() if q <= geo.MAX_POLARITY_ORDER]
+
+
+@pytest.mark.parametrize("q", POLARITY_ORDERS)
+def test_polarity_rows_match_form_evaluation(q, monkeypatch):
+    # the rows come from the polar lines, not from the form; every row is
+    # compared up to q = 32, and 40 seeded rows above, where the graph is
+    # built without its (separately tested) per-edge check to save time
+    if q > 32:
+        monkeypatch.setattr(geo, "Graph", gc.Graph._valid)
+    G = geo.polarity_graph(q)
+    n = q * q + q + 1
+    vertices = list(range(n)) if q <= 32 else sorted(random.Random(q).sample(range(n), 40))
+    assert G.n == n
+    assert [G.rows[v] for v in vertices] == polarity_rows_by_form(q, vertices)
+
+
+@pytest.mark.parametrize("q", [q for q in POLARITY_ORDERS if q <= 27])
+def test_polarity_adjacency_square_identity(q):
+    # with the loops of the absolute points put back, A'^2 = J + qI: each
+    # row has q + 1 bits and any two rows share exactly one
+    G = geo.polarity_graph(q)
+    rows = list(G.rows)
+    for v in geo.polarity_absolute_points(q):
+        rows[v] |= 1 << v
+    assert all(row.bit_count() == q + 1 for row in rows)
+    assert all((a & b).bit_count() == 1 for a, b in itertools.combinations(rows, 2))
+
+
 def test_polarity_large_order():
     G = geo.polarity_graph(27)
     assert G.n == 27 * 27 + 27 + 1
@@ -170,6 +236,40 @@ def test_unital_hypergraph_duality():
     for p, e in enumerate(H.edges):
         for b in e:
             assert p in D.blocks[b]
+
+
+def unital_blocks_by_form(q):
+    """Reference: one line of PG(2, q^2) at a time, its points on the curve."""
+    spec = spec_for(q * q)
+    P = geo._point_rows(2, spec)
+    curve = P[[not sum((c ** (q + 1) for c in pt), spec.zero()) for pt in geo.enumerate_pg_points(2, spec)]]
+    one = spec.index(spec.one())
+    blocks = []
+    for acc in form_values(spec, P, curve, (one,) * 3):
+        hits = tuple(np.flatnonzero(acc == 0).tolist())
+        assert len(hits) in (1, q + 1)
+        if len(hits) > 1:
+            blocks.append(hits)
+    return tuple(blocks)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_unital_blocks_match_line_by_line_evaluation(q):
+    assert geo.hermitian_unital(q).blocks == unital_blocks_by_form(q)
+
+
+def test_unital_rejects_a_line_meeting_the_curve_oddly(monkeypatch):
+    # a line meeting the curve in neither 1 nor q + 1 points is an error
+    form_matrix = geo._form_matrix
+
+    def tangent_everywhere(L, R, *args):
+        acc = form_matrix(L, R, *args)
+        acc[0] = 0  # the block's first line meets every curve point
+        return acc
+
+    monkeypatch.setattr(geo, "_form_matrix", tangent_everywhere)
+    with pytest.raises(AssertionError, match="line meets curve in 28 points"):
+        geo.hermitian_unital(3)
 
 
 def test_unital_rejects():
@@ -285,6 +385,19 @@ def test_bip_matches_direct_arithmetic():
             if rule(Q(verts[i], verts[j]))
         ]
         assert geo.bip_graph(3, 2, variant) == gc.Graph.from_edges(len(verts), edges)
+
+
+@pytest.mark.parametrize("q,s", [(3, 2), (3, 4), (5, 3), (7, 2), (7, 3), (9, 3), (13, 2)])
+def test_bip_rows_match_form_evaluation(q, s):
+    spec = spec_for(q)
+    _, V, weights = geo._square_type(q, s)
+    chi = np.array(op_tables(spec).chi)
+    canonical, symmetrized = [], []
+    for v, acc in enumerate(form_values(spec, V, V, weights)):
+        canonical.append(packed(chi[acc] == 1) & ~(1 << v))
+        symmetrized.append(packed(acc == 0) & ~(1 << v))
+    assert list(geo.bip_graph(q, s, "canonical").rows) == canonical
+    assert list(geo.bip_graph(q, s, "symmetrized").rows) == symmetrized
 
 
 def test_bip_vertex_points_agree():

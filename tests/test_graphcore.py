@@ -79,6 +79,29 @@ def test_graph_init_linear_on_empty_rows():
     assert G.edge_count == 0
 
 
+@pytest.mark.parametrize("count", [0, 1, 2, 63, 64, 65, 200, 2000])
+def test_bit_lists_and_masks_agree_with_single_bits(count):
+    rng = random.Random(count)
+    for top in (count, 3 * count + 7, 5000):
+        bits = sorted(rng.sample(range(top + 1), min(count, top + 1)))
+        mask = sum(1 << b for b in bits)
+        assert gc._bit_list(mask) == bits == list(gc._iter_bits(mask))
+        assert gc._from_bits(bits) == mask == gc._from_bits(bits[::-1])
+
+
+def test_relabel_linear_in_row_length():
+    # the centre row of a star with 2^17 leaves was assembled one power of
+    # two at a time, copying the growing sum: 2.5 s on a 2-core host where
+    # reading its bits off its digits and parsing the new ones takes 0.3 s
+    n = 2**17 + 1
+    rows = [(1 << n) - 2] + [1] * (n - 1)
+    order = [0, *range(n - 1, 0, -1)]  # the leaves reversed
+    start = time.perf_counter()
+    relabelled = gc._relabel(rows, order)
+    assert time.perf_counter() - start < 1.0
+    assert relabelled == rows
+
+
 def test_induced_matches_pair_scan():
     rng = random.Random(41)
     for _ in range(60):
@@ -606,6 +629,39 @@ def test_clique_pattern():
     free, witness = gc.is_pattern_free(complete_graph(4), ForbiddenPattern.clique(4))
     assert not free and gc.validate_witness(complete_graph(4), ForbiddenPattern.clique(4), witness)
     assert gc.is_pattern_free(petersen(), ForbiddenPattern.clique(3)) == (True, None)
+
+
+def test_clique_screen_keeps_the_search_answer():
+    # seeded random graphs, K_s free and not, with and without an edge whose
+    # endpoints share s - 2 neighbours: the screened check answers as the
+    # plain search, witness included
+    rng = random.Random(12)
+    seen = Counter()
+    for _ in range(300):
+        G = random_graph(rng.randint(4, 24), rng.uniform(0.05, 0.6), rng)
+        for s in (3, 4, 5):
+            w = gc.find_clique(G, s)
+            want = (True, None) if w is None else (False, list(w))
+            assert gc.is_pattern_free(G, ForbiddenPattern.clique(s)) == want
+            seen[want[0], gc._edge_with_common(G.rows, s - 2)] += 1
+    # free graphs passed and failed by the screen, and graphs with a K_s
+    assert set(seen) == {(True, False), (True, True), (False, True)}
+    assert min(seen.values()) >= 50
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13])
+def test_clique_screen_decides_polarity_k4_without_search(q, monkeypatch):
+    # two vertices of the C4-free ER_q share at most one neighbour, so no
+    # edge can lie in a K4 and the search never runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("clique search ran")
+
+    G = geo.polarity_graph(q)
+    monkeypatch.setattr(gc, "_max_clique_search", refuse)
+    assert gc.is_pattern_free(G, ForbiddenPattern.clique(4)) == (True, None)
+    assert gc.is_pattern_free(G, ForbiddenPattern.clique(5)) == (True, None)
+    with pytest.raises(AssertionError, match="clique search ran"):
+        gc.is_pattern_free(G, ForbiddenPattern.clique(4), budget=10**6)
 
 
 def test_c4_pattern():
