@@ -79,7 +79,7 @@ def test_graph_init_linear_on_empty_rows():
     assert G.edge_count == 0
 
 
-@pytest.mark.parametrize("count", [0, 1, 2, 63, 64, 65, 200, 2000])
+@pytest.mark.parametrize("count", [0, 1, 2, 39, 40, 41, 63, 64, 65, 200, 2000])
 def test_bit_lists_and_masks_agree_with_single_bits(count):
     rng = random.Random(count)
     for top in (count, 3 * count + 7, 5000):
@@ -647,6 +647,32 @@ def test_clique_screen_keeps_the_search_answer():
     # free graphs passed and failed by the screen, and graphs with a K_s
     assert set(seen) == {(True, False), (True, True), (False, True)}
     assert min(seen.values()) >= 50
+
+
+def test_clique_screen_matches_pair_scan_on_dense_rows():
+    # rows past _FEW_BITS bits are read off their digits
+    rng = random.Random(13)
+    for _ in range(20):
+        n = rng.randint(60, 120)
+        G = random_graph(n, rng.uniform(0.4, 0.9), rng)
+        common = max(
+            (G.rows[u] & G.rows[v]).bit_count()
+            for u, v in itertools.combinations(range(n), 2)
+            if G.has_edge(u, v)
+        )
+        for k in (common, common + 1):
+            assert gc._edge_with_common(G.rows, k) == (k <= common)
+
+
+def test_clique_screen_linear_in_row_length():
+    # the centre row of a star with 2^18 leaves was shifted past each of its
+    # bits in turn: 5.5 s on a 2-core host where reading its bits off its
+    # digits takes 0.33 s
+    n = 2**18 + 1
+    rows = [(1 << n) - 2] + [1] * (n - 1)
+    start = time.perf_counter()
+    assert not gc._edge_with_common(rows, 1)
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13])
