@@ -10,13 +10,17 @@ node budget raises UndecidedError rather than ever returning a wrong answer.
 
 from __future__ import annotations
 
+import io
 import json
+import re
 import sys
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
-from operator import and_, index
+from itertools import chain, combinations, repeat
+from operator import and_, index, rshift
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
@@ -84,6 +88,115 @@ def _relabel(rows: Sequence[int], order: Sequence[int]) -> list[int]:
     return [_from_bits([pos[u] for u in _bit_list(rows[v] & mask)]) for v in order]
 
 
+# Rows change to and from (row, column) arrays a block of rows at a time:
+# _edge_arrays scans about _SCAN_BYTES of the rows' bytes per block, and
+# _pair_rows ORs endpoints into a zeroed buffer of about _ROW_BYTES.  A block
+# holds one more row when that row alone is longer.
+_SCAN_BYTES = 2**16
+_ROW_BYTES = 2**16
+
+
+def _key_dtype(n: int) -> type:
+    """int32 when the keys r*n + c of an n-vertex graph, and the bit offsets
+    of its rows laid end to end, fit in it; else int64."""
+    return np.int32 if n * (n + 8) < 2**31 else np.int64
+
+
+def _byte_blocks(ends: np.ndarray, size: int) -> Iterator[tuple[int, int]]:
+    """Row ranges [lo, hi) of about `size` bytes each, for rows whose byte
+    lengths have the running sums `ends`.  Rows of no bytes ride in their
+    neighbours' blocks, so rows that hold no bytes at all give no block."""
+    total = int(ends[-1]) if len(ends) else 0
+    lo = 0
+    for hi in np.searchsorted(ends, np.arange(size, total + size, size), side="right").tolist():
+        if hi > lo:
+            yield lo, hi
+            lo = hi
+
+
+def _edge_arrays(
+    n: int, rows: Sequence[int], upper: bool = False
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (row, column) of every set bit of `rows`, or with `upper` of those
+    above the diagonal, in row-major order, one block of rows at a time.
+    Each row is read as its own little-endian bytes (row v shifted right by
+    v + 1 with `upper`) and only the nonzero bytes are unpacked, so the cost
+    is linear in the rows' total byte length and empty rows cost no scan."""
+    skip = np.arange(1, n + 1) if upper else np.zeros(n, np.int64)
+    size = (np.maximum(np.fromiter(map(int.bit_length, rows), np.int64, n) - skip, 0) + 7) >> 3
+    ends = np.cumsum(size)
+    starts = ends - size
+    for lo, hi in _byte_blocks(ends, _SCAN_BYTES):
+        shifted = map(rshift, rows[lo:hi], skip[lo:hi].tolist())
+        data = b"".join(map(int.to_bytes, shifted, size[lo:hi].tolist(), repeat("little")))
+        buf = np.frombuffer(data, np.uint8)
+        at = np.flatnonzero(buf)
+        hit = np.flatnonzero(np.unpackbits(buf[at], bitorder="little"))
+        at += starts[lo]
+        r = np.searchsorted(ends, at, side="right")  # the row of each nonzero byte
+        at = (at - starts[r]) * 8 + skip[r]
+        byte = hit >> 3
+        yield r[byte], at[byte] + (hit & 7)
+
+
+def _vertex_pairs(n: int, pairs: np.ndarray) -> np.ndarray:
+    """`pairs` as an (m, 2) array of the edges of a graph on 0..n-1;
+    ValueError naming the first loop or out-of-range edge in their order."""
+    if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+        raise ValueError("each edge needs two vertices")
+    pairs = pairs.reshape(-1, 2)
+    u, v = pairs.T
+    bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    if bad.any():
+        a, b = pairs[bad.argmax()].tolist()
+        raise ValueError(f"loop at vertex {a}" if a == b else f"edge ({a},{b}) out of range")
+    return pairs
+
+
+def _pair_rows(n: int, blocks: Sequence[np.ndarray]) -> list[int]:
+    """Rows of the graph on 0..n-1 whose edges are the rows of the (m, 2)
+    arrays `blocks`, which are in range and loopless; repeated edges are
+    allowed.  The endpoints are sorted by row once, as keys r*n + c.  Each
+    row is laid out over the bytes from its lowest to its top bit, and a
+    block of rows is built by one byte-OR per endpoint into a zeroed buffer,
+    then read out row by row with int.from_bytes and shifted into place."""
+    m = sum(map(len, blocks))
+    key = np.empty(2 * m, _key_dtype(n))
+    i = 0
+    for pairs in blocks:
+        u, v = pairs.T
+        for half, a, b in ((key[i : i + len(u)], u, v), (key[m + i : m + i + len(u)], v, u)):
+            half[:] = a
+            half *= n
+            half += b
+        i += len(u)
+    key.sort()
+    first = np.searchsorted(key, np.arange(n + 1, dtype=key.dtype) * n)  # each row's first key
+    filled = np.flatnonzero(first[1:] > first[:-1])
+    low = np.zeros(n, np.int64)  # each row's lowest byte
+    low[filled] = (key[first[filled]] - filled * n) >> 3
+    size = np.zeros(n, np.int64)
+    size[filled] = ((key[first[filled + 1] - 1] - filled * n) >> 3) - low[filled] + 1
+    ends = np.cumsum(size)
+    starts = ends - size
+    rows = [0] * n
+    for lo, hi in _byte_blocks(ends, _ROW_BYTES):
+        base = int(starts[lo])
+        # key r*n + c becomes bit c - 8*low[r] of row r's bytes in the buffer
+        shift = (starts[lo:hi] - base - low[lo:hi]) * 8 - np.arange(lo, hi) * n
+        at = key[first[lo] : first[hi]] + np.repeat(shift, np.diff(first[lo : hi + 1]))
+        buf = np.zeros(int(ends[hi - 1]) - base, np.uint8)
+        np.bitwise_or.at(buf, at >> 3, (1 << (at & 7)).astype(np.uint8))
+        data = memoryview(buf)
+        rows[lo:hi] = [
+            int.from_bytes(data[a:b], "little") << c
+            for a, b, c in zip(
+                (starts[lo:hi] - base).tolist(), (ends[lo:hi] - base).tolist(), (low[lo:hi] * 8).tolist()
+            )
+        ]
+    return rows
+
+
 class Graph:
     """Immutable simple graph on vertices 0..n-1 with bitset adjacency rows."""
 
@@ -92,7 +205,7 @@ class Graph:
     def __init__(self, n: int, rows: Sequence[int]):
         if n < 0:
             raise ValueError("negative vertex count")
-        rows = tuple(rows)
+        rows = tuple(map(index, rows))
         if len(rows) != n:
             raise ValueError("row count does not match n")
         for v, row in enumerate(rows):
@@ -100,9 +213,27 @@ class Graph:
                 raise ValueError(f"row {v} has bits outside 0..{n - 1}")
             if row >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
-            for u in _iter_bits(row):
-                if not rows[u] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        # symmetric iff the keys r*n + c of the bits above the diagonal are
+        # those of the bits below it, transposed; the first fill the front of
+        # `keys` and the second its back
+        keys = np.empty(sum(map(int.bit_count, rows)), _key_dtype(n))
+        front, back = 0, len(keys)
+        for r, c in _edge_arrays(n, rows):
+            above = r < c
+            up, down = (r * n + c)[above], (c * n + r)[~above]
+            keys[front : front + len(up)] = up
+            keys[back - len(down) : back] = down
+            front, back = front + len(up), back - len(down)
+        upper, lower = keys[:front], keys[front:]
+        lower.sort()
+        if not np.array_equal(upper, lower):
+            # the first set bit (v, u), in row-major order, whose (u, v) is unset
+            below = np.setdiff1d(lower, upper, assume_unique=True).astype(np.int64)
+            lone = np.concatenate(
+                (np.setdiff1d(upper, lower, assume_unique=True), below % n * n + below // n)
+            )
+            v, u = divmod(int(lone.min()), n)
+            raise ValueError(f"asymmetric adjacency between {u} and {v}")
         self._fill(n, rows)
 
     def _fill(self, n: int, rows: tuple[int, ...]) -> None:
@@ -123,15 +254,11 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 0:
             raise ValueError("negative vertex count")
-        rows = [0] * n
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return cls._valid(n, rows)
+        pairs = np.array(list(edges))
+        if pairs.size and pairs.dtype.kind not in "iuO":
+            raise TypeError(f"edges must be pairs of ints, not {pairs.dtype}")
+        pairs = _vertex_pairs(n, pairs).astype(np.int64, copy=False)
+        return cls._valid(n, _pair_rows(n, [pairs]))
 
     @property
     def edge_count(self) -> int:
@@ -150,9 +277,13 @@ class Graph:
         return bool(self.rows[u] >> v & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in _iter_bits(self.rows[u] >> (u + 1) << (u + 1)):
-                yield (u, v)
+        """The pairs (u, v), u < v, in sorted order.  They hold the same n
+        int objects, rather than two new ints per edge."""
+        ints = np.arange(self.n).astype(object)
+        return chain.from_iterable(
+            zip(ints[r].tolist(), ints[c].tolist())
+            for r, c in _edge_arrays(self.n, self.rows, upper=True)
+        )
 
     def is_regular(self) -> bool:
         return self.n == 0 or min(self.degrees) == max(self.degrees)
@@ -904,22 +1035,31 @@ def write_graph(G: Graph, fh, header: dict | None = None) -> None:
     head = dict(header or {})
     head["n"] = G.n
     fh.write("# " + json.dumps(head, sort_keys=True) + "\n")
-    for u, v in G.edges():
-        fh.write(f"{u} {v}\n")
+    for r, c in _edge_arrays(G.n, G.rows, upper=True):
+        fh.write(("%d %d\n" * len(r)) % tuple(np.stack((r, c), axis=1).ravel().tolist()))
 
 
 # Largest vertex count the edge-list readers accept.  Each Graph row is an
 # n-bit int, so n edge lines that all touch vertex n - 1 cost about n^2/8
 # bytes; at 2^15 that worst case is 128 MiB for the rows.  _find_c4's masks
 # keep only the bits above each vertex, about n^2/16 bytes: 64 MiB at the
-# cap.  The largest graph the tool builds, ER_81, has 6643 vertices.
+# cap.  read_graph adds 16 bytes per edge line (its int32 pair, and an int32
+# key per endpoint: at the cap int32 holds every key r*n + c), a block of
+# text held as 4 * _READ_CHARS bytes, and a row buffer of _ROW_BYTES plus at
+# most one row of n/8 bytes.  The largest graph the tool builds, ER_81, has
+# 6643 vertices.
 MAX_READ_VERTICES = 2**15
 
+# A line whose first word starts with '#'; the reader skips it.
+_COMMENT_LINE = re.compile(r"^[^\S\n]*#.*$", re.MULTILINE)
+# The reader parses the body about this many characters at a time, each
+# block cut at a line end.
+_READ_CHARS = 2**16
 
-def _read_edge_list(fh, kind: str) -> tuple[dict, Iterator[list[str]]]:
-    """The '# {json}' header -- a JSON object whose "n" is an int in
-    0..MAX_READ_VERTICES, else ValueError -- and an iterator over the words
-    of each later line (blank and '#' lines skipped)."""
+
+def _read_header(fh, kind: str) -> dict:
+    """The '# {json}' header: a JSON object whose "n" is an int in
+    0..MAX_READ_VERTICES, else ValueError."""
     first = fh.readline()
     if not first.startswith("#"):
         raise ValueError(f"missing {kind} header line")
@@ -929,12 +1069,24 @@ def _read_edge_list(fh, kind: str) -> tuple[dict, Iterator[list[str]]]:
     n = header.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= MAX_READ_VERTICES:
         raise ValueError(f"{kind} header needs an integer n in 0..{MAX_READ_VERTICES}")
-    return header, (words for words in map(str.split, fh) if words and words[0][0] != "#")
+    return header
 
 
 def read_graph(fh) -> tuple[Graph, dict]:
-    header, lines = _read_edge_list(fh, "graph")
-    return Graph.from_edges(header["n"], [(int(u), int(v)) for u, v in lines]), header
+    """The graph of write_graph's text.  Each later line holds two vertices
+    or is skipped: blank lines, and lines whose first word starts with '#'.
+    A '#' after a vertex is not a comment."""
+    header = _read_header(fh, "graph")
+    n = header["n"]
+    blocks = []
+    while block := fh.read(_READ_CHARS):
+        block += fh.readline()
+        if "#" in block:
+            block = _COMMENT_LINE.sub("", block)
+        if block and not block.isspace():
+            pairs = np.loadtxt(io.StringIO(block), np.int32, comments=None, ndmin=2)
+            blocks.append(_vertex_pairs(n, pairs))
+    return Graph._valid(n, _pair_rows(n, blocks)), header
 
 
 def write_hypergraph(H: LinearHypergraph, fh, header: dict | None = None) -> None:
@@ -949,5 +1101,6 @@ def write_hypergraph(H: LinearHypergraph, fh, header: dict | None = None) -> Non
 
 
 def read_hypergraph(fh) -> tuple[LinearHypergraph, dict]:
-    header, lines = _read_edge_list(fh, "hypergraph")
+    header = _read_header(fh, "hypergraph")
+    lines = (words for words in map(str.split, fh) if words and words[0][0] != "#")
     return LinearHypergraph(header["n"], [tuple(map(int, words)) for words in lines]), header

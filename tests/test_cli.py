@@ -412,6 +412,9 @@ def test_certify_checks_ambient_pattern_before_alpha(capsys):
          "65b3374275c9b4531fb4514e6c47bf98c5f68dc8f7ed1e51658157c7a4210bab"),
         (["bip", "--q", "7", "--s", "3", "--variant", "symmetrized"],
          "15730d7db060986435db2842a7b94d1dd6f0c6a04d3c7908e0d381365e050a88"),
+        (["er", "--q", "64"], "08f56ce84bb0c1606211d901e04582664468171b21fc4c7d8f9b0ddd722b7dfc"),
+        (["er", "--q", "81"], "66f04e8e53bbcb8a92aadfd3433b5178edea249677f3bb8f5f19e2dac347ea42"),
+        (["unital", "--q", "8"], "c80476da812f5c8134ac1867776be5514f36e7045e3919ec6fb40e52ac0741ce"),
     ],
 )
 def test_construct_output_pinned(capsys, argv, digest):
@@ -486,6 +489,15 @@ def test_check_rejects_malformed_graph_header(capsys, tmp_path, header):
     path.write_text(f"# {header}\n0 1\n1 2\n")
     code, out, err = run(capsys, ["check", "--pattern", "c4", "--in", str(path)])
     assert code == 2 and out == "" and "header" in err
+
+
+@pytest.mark.parametrize("body", ["0 1 # x\n", "0 1\n1 2 3\n", "0 99999999999999999999\n", "0 x\n", "2 2\n"])
+def test_check_rejects_malformed_edge_lines(capsys, tmp_path, body):
+    # each is a usage error with a message, never a traceback
+    path = tmp_path / "bad.txt"
+    path.write_text('# {"n": 3}\n' + body)
+    code, out, err = run(capsys, ["check", "--pattern", "c4", "--in", str(path)])
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_check_vertex_cap(capsys, tmp_path):

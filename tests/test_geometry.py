@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from collections import Counter
 
 import numpy as np
@@ -159,12 +160,9 @@ POLARITY_ORDERS = [q for q in modulus_table() if q <= geo.MAX_POLARITY_ORDER]
 
 
 @pytest.mark.parametrize("q", POLARITY_ORDERS)
-def test_polarity_rows_match_form_evaluation(q, monkeypatch):
+def test_polarity_rows_match_form_evaluation(q):
     # the rows come from the polar lines, not from the form; every row is
-    # compared up to q = 32, and 40 seeded rows above, where the graph is
-    # built without its (separately tested) per-edge check to save time
-    if q > 32:
-        monkeypatch.setattr(geo, "Graph", gc.Graph._valid)
+    # compared up to q = 32, and 40 seeded rows above
     G = geo.polarity_graph(q)
     n = q * q + q + 1
     vertices = list(range(n)) if q <= 32 else sorted(random.Random(q).sample(range(n), 40))
@@ -188,6 +186,15 @@ def test_polarity_large_order():
     G = geo.polarity_graph(27)
     assert G.n == 27 * 27 + 27 + 1
     assert Counter(G.degrees) == {27: 28, 28: 729}
+
+
+def test_polarity_graph_81_time():
+    # Graph()'s per-edge check was most of this build: 0.88-1.05 s on a
+    # 2-core host, and 0.2 s with its keys compared as arrays
+    start = time.perf_counter()
+    G = geo.polarity_graph(81)
+    assert time.perf_counter() - start < 0.5
+    assert G.n == 81 * 81 + 81 + 1 and G.edge_count == 81 * 82 * 82 // 2
 
 
 def test_polarity_rejects():
