@@ -8,7 +8,7 @@ graphs on the square-type points of PG(s,q).
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -141,22 +141,6 @@ def _form_matrix(L, R, weights, add, mul) -> np.ndarray:
     return acc
 
 
-def _blocks(count: int, width: int) -> Iterator[slice]:
-    """Consecutive slices of range(count), each of about 2**16 / width
-    items, so that a block of rows `width` wide stays near 2**16 entries."""
-    step = max(1, 2**16 // width)
-    for start in range(0, count, step):
-        yield slice(start, min(count, start + step))
-
-
-def _packed_rows(bits: np.ndarray, block: slice) -> list[int]:
-    """Adjacency rows of the vertices in `block`, from their rows of `bits`
-    with each vertex's own (loop) bit cleared."""
-    bits[np.arange(bits.shape[0]), np.arange(block.start, block.stop)] = False
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
 def _keys(rows: np.ndarray, q: int) -> np.ndarray:
     """One integer per row of element indices (the last axis), distinct for
     distinct rows."""
@@ -249,38 +233,38 @@ def _polarity_setup(q) -> tuple[FieldSpec, np.ndarray, tuple[int, int, int]]:
     return spec, _point_rows(2, spec), (one, one, one)
 
 
-def polarity_graph(q) -> Graph:
-    """Orthogonal polarity graph on the points of PG(2, q): u ~ v iff
-    u.v = 0.  Self-orthogonal (absolute) points keep their vertex but lose
-    the loop, so q+1 vertices have degree q and the rest degree q+1.
-
-    No form is evaluated: the neighbours of x are the q+1 points of its
-    polar line x.y = 0, listed by solving for one coordinate, and their
-    vertex indices follow from the order of _point_rows: (0,0,1) is 0,
-    (0,1,b) is 1 + b and (1,a,b) is 1 + q + aq + b."""
-    spec, P, _ = _polarity_setup(q)
+def _polar_lines(spec: FieldSpec, X: np.ndarray) -> np.ndarray:
+    """Row i lists the vertex indices of the q+1 points y of PG(2, q) with
+    X[i].y = 0, solved for with one coordinate free, and indexed by the order
+    of _point_rows: (0,0,1) is 0, (0,1,b) is 1 + b and (1,a,b) is 1 + q + aq + b."""
     add, mul = _np_tables(spec)
     neg = np.array(op_tables(spec).neg, dtype=np.int32)
     inv = np.argmax(mul == spec.index(spec.one()), axis=1)
-    q, n = spec.q, len(P)
-    free = np.arange(q)[None, :]  # the free coordinate of the line's points
-    rows: list[int] = []
-    for block in _blocks(n, n):
-        x0, x1, x2 = (c[:, None] for c in P[block].T)
-        # x2 != 0: (1, a, -(x0 + x1 a)/x2) for each a, and (0, 1, -x1/x2)
-        solved = mul[neg[add[x0, mul[x1, free]]], inv[x2]]
-        line = np.where(
-            x2 != 0,
-            1 + q + free * q + solved,
-            # x2 = 0 != x1: (1, -x0/x1, b) for each b; x = (1, 0, 0): (0, 1, b)
-            np.where(x1 != 0, 1 + q + mul[neg[x0], inv[x1]] * q + free, 1 + free),
-        )
-        # and (0, 1, -x1/x2), or (0, 0, 1) when x2 = 0
-        last = np.where(x2 != 0, 1 + mul[neg[x1], inv[x2]], 0)
-        bits = np.zeros((len(line), n), dtype=bool)
-        bits[np.arange(len(line))[:, None], np.hstack([line, last])] = True
-        rows += _packed_rows(bits, block)
-    return Graph(n, rows)
+    q = spec.q
+    free = np.arange(q, dtype=np.int32)[None, :]  # the free coordinate of the line's points
+    x0, x1, x2 = (c[:, None] for c in X.T)
+    # x2 != 0: (1, a, -(x0 + x1 a)/x2) for each a, and (0, 1, -x1/x2)
+    solved = mul[neg[add[x0, mul[x1, free]]], inv[x2]]
+    line = np.where(
+        x2 != 0,
+        1 + q + free * q + solved,
+        # x2 = 0 != x1: (1, -x0/x1, b) for each b; x = (1, 0, 0): (0, 1, b)
+        np.where(x1 != 0, 1 + q + mul[neg[x0], inv[x1]] * q + free, 1 + free),
+    )
+    # and (0, 1, -x1/x2), or (0, 0, 1) when x2 = 0
+    return np.hstack([line, np.where(x2 != 0, 1 + mul[neg[x1], inv[x2]], 0)])
+
+
+def polarity_graph(q) -> Graph:
+    """Orthogonal polarity graph on the points of PG(2, q): u ~ v iff v is on
+    the polar line u.v = 0.  Self-orthogonal (absolute) points keep their
+    vertex but lose the loop, so q+1 vertices have degree q and the rest q+1."""
+    spec, P, _ = _polarity_setup(q)
+    lines = _polar_lines(spec, P)
+    u = np.repeat(np.arange(len(P), dtype=np.int32), lines.shape[1])
+    v = lines.ravel()
+    # the arcs are distinct: a polar line's q+1 points have distinct indices
+    return Graph._from_arcs(len(P), [np.stack((u, v), axis=1)[u != v]])
 
 
 def polarity_reflections(q) -> list[tuple[int, ...]]:
@@ -360,21 +344,18 @@ def hermitian_unital(q) -> BlockDesign:
     curve = np.nonzero(on_curve)[0]
     if len(curve) != q**3 + 1:
         raise AssertionError(f"curve has {len(curve)} points, expected {q**3 + 1}")
-    R = P[curve]
-
-    # every line of PG(2,q^2), taken as a dual coordinate vector, meets the
-    # curve in exactly 1 (tangent) or q+1 (secant) points
-    one = spec.index(spec.one())
-    blocks: list[list[int]] = []
-    for lines in _blocks(len(P), len(R)):
-        hits = _form_matrix(P[lines], R, (one, one, one), add, mul) == 0
-        counts = hits.sum(axis=1)
-        odd = (counts != 1) & (counts != q + 1)
-        if odd.any():
-            raise AssertionError(f"line meets curve in {counts[odd][0]} points")
-        secants = hits[counts == q + 1]
-        blocks += np.nonzero(secants)[1].reshape(len(secants), q + 1).tolist()
-    design = BlockDesign(_points(R, spec), blocks)
+    # every line of PG(2,q^2), the polar line of a point, meets the curve in
+    # exactly 1 (tangent) or q+1 (secant) points
+    lines = _polar_lines(spec, P)
+    hits = on_curve[lines]
+    counts = hits.sum(axis=1)
+    odd = (counts != 1) & (counts != q + 1)
+    if odd.any():
+        raise AssertionError(f"line meets curve in {counts[odd][0]} points")
+    secants = counts == q + 1
+    curve_index = np.cumsum(on_curve) - 1
+    blocks = curve_index[lines[secants][hits[secants]]].reshape(-1, q + 1)
+    design = BlockDesign(_points(P[curve], spec), blocks.tolist())  # it sorts each block
     if len(design.blocks) != q * q * (q * q - q + 1) or not design.is_steiner():
         raise AssertionError("unital block structure is not a 2-design")
     return design
@@ -432,11 +413,15 @@ def bip_graph(q, s: int, variant: str = "canonical") -> Graph:
     add, mul = _np_tables(spec)
     chi = np.array(op_tables(spec).chi, dtype=np.int8)
     n = len(V)
-    rows: list[int] = []
-    for block in _blocks(n, n):
-        acc = _form_matrix(V[block], V, weights, add, mul)
-        rows += _packed_rows(chi[acc] == 1 if variant == "canonical" else acc == 0, block)
-    return Graph(n, rows)
+    arcs = []
+    step = max(1, 2**16 // n)  # rows per block: about 2**16 form values
+    for start in range(0, n, step):
+        acc = _form_matrix(V[start : start + step], V, weights, add, mul)
+        # the arcs are distinct, as the positions np.nonzero lists are
+        u, v = np.nonzero(chi[acc] == 1 if variant == "canonical" else acc == 0)
+        u += start
+        arcs.append(np.stack((u, v), axis=1)[u != v].astype(np.int32))
+    return Graph._from_arcs(n, arcs)
 
 
 def bip_reflections(q, s: int) -> list[tuple[int, ...]]:

@@ -416,8 +416,8 @@ class OpTables(NamedTuple):
 
     add[i][j] and mul[i][j] give the index of the sum/product of elements i
     and j; chi[i] is the quadratic character (None for even orders); neg[i]
-    the additive inverse.  These exist so the geometry loops can run on plain
-    ints.
+    the additive inverse.  The geometry constructions turn them into numpy
+    arrays and evaluate forms and polar lines by gathering through them.
     """
 
     add: tuple[tuple[int, ...], ...]

@@ -96,12 +96,6 @@ _SCAN_BYTES = 2**16
 _ROW_BYTES = 2**16
 
 
-def _key_dtype(n: int) -> type:
-    """int32 when the keys r*n + c of an n-vertex graph, and the bit offsets
-    of its rows laid end to end, fit in it; else int64."""
-    return np.int32 if n * (n + 8) < 2**31 else np.int64
-
-
 def _byte_blocks(ends: np.ndarray, size: int) -> Iterator[tuple[int, int]]:
     """Row ranges [lo, hi) of about `size` bytes each, for rows whose byte
     lengths have the running sums `ends`.  Rows of no bytes ride in their
@@ -114,15 +108,13 @@ def _byte_blocks(ends: np.ndarray, size: int) -> Iterator[tuple[int, int]]:
             lo = hi
 
 
-def _edge_arrays(
-    n: int, rows: Sequence[int], upper: bool = False
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The (row, column) of every set bit of `rows`, or with `upper` of those
-    above the diagonal, in row-major order, one block of rows at a time.
-    Each row is read as its own little-endian bytes (row v shifted right by
-    v + 1 with `upper`) and only the nonzero bytes are unpacked, so the cost
-    is linear in the rows' total byte length and empty rows cost no scan."""
-    skip = np.arange(1, n + 1) if upper else np.zeros(n, np.int64)
+def _edge_arrays(n: int, rows: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (row, column) of every set bit of `rows` above the diagonal, in
+    row-major order, one block of rows at a time.  Row v is read as the
+    little-endian bytes of row >> (v + 1) and only the nonzero bytes are
+    unpacked, so the cost is linear in the rows' total byte length and empty
+    rows cost no scan."""
+    skip = np.arange(1, n + 1)
     size = (np.maximum(np.fromiter(map(int.bit_length, rows), np.int64, n) - skip, 0) + 7) >> 3
     ends = np.cumsum(size)
     starts = ends - size
@@ -161,7 +153,8 @@ def _pair_rows(n: int, blocks: Sequence[np.ndarray]) -> list[int]:
     block of rows is built by one byte-OR per endpoint into a zeroed buffer,
     then read out row by row with int.from_bytes and shifted into place."""
     m = sum(map(len, blocks))
-    key = np.empty(2 * m, _key_dtype(n))
+    # int32 when the keys, and the bit offsets of the rows laid end to end, fit
+    key = np.empty(2 * m, np.int32 if n * (n + 8) < 2**31 else np.int64)
     i = 0
     for pairs in blocks:
         u, v = pairs.T
@@ -213,26 +206,17 @@ class Graph:
                 raise ValueError(f"row {v} has bits outside 0..{n - 1}")
             if row >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
-        # symmetric iff the keys r*n + c of the bits above the diagonal are
-        # those of the bits below it, transposed; the first fill the front of
-        # `keys` and the second its back
-        keys = np.empty(sum(map(int.bit_count, rows)), _key_dtype(n))
-        front, back = 0, len(keys)
-        for r, c in _edge_arrays(n, rows):
-            above = r < c
-            up, down = (r * n + c)[above], (c * n + r)[~above]
-            keys[front : front + len(up)] = up
-            keys[back - len(down) : back] = down
-            front, back = front + len(up), back - len(down)
-        upper, lower = keys[:front], keys[front:]
-        lower.sort()
-        if not np.array_equal(upper, lower):
-            # the first set bit (v, u), in row-major order, whose (u, v) is unset
-            below = np.setdiff1d(lower, upper, assume_unique=True).astype(np.int64)
-            lone = np.concatenate(
-                (np.setdiff1d(upper, lower, assume_unique=True), below % n * n + below // n)
+        # symmetric iff the rows are _pair_rows of their bits above the diagonal
+        rebuilt = _pair_rows(n, [np.stack(rc, axis=1) for rc in _edge_arrays(n, rows)])
+        if rebuilt != list(rows):
+            # they differ only below the diagonal: a bit x only in row w is the
+            # set bit (w, x), and one only in the rebuilt row w mirrors the set
+            # bit (x, w), which comes first; name the first in row-major order
+            v, u = min(
+                (_bit_list(sym & ~row)[0], w) if sym & ~row else (w, _bit_list(row & ~sym)[0])
+                for w, (row, sym) in enumerate(zip(rows, rebuilt))
+                if row != sym
             )
-            v, u = divmod(int(lone.min()), n)
             raise ValueError(f"asymmetric adjacency between {u} and {v}")
         self._fill(n, rows)
 
@@ -248,6 +232,17 @@ class Graph:
         loopless, symmetric), so the per-edge check of Graph() is skipped."""
         G = object.__new__(cls)
         G._fill(n, tuple(rows))
+        return G
+
+    @classmethod
+    def _from_arcs(cls, n: int, blocks: Sequence[np.ndarray]) -> "Graph":
+        """The Graph whose edges are the distinct arcs (u, v) in the (m, 2)
+        arrays `blocks`; ValueError unless they are closed under reversal, as
+        they are exactly when they number twice the edges they make."""
+        blocks = [_vertex_pairs(n, arcs) for arcs in blocks]
+        G = cls._valid(n, _pair_rows(n, blocks))
+        if 2 * G.edge_count != sum(map(len, blocks)):
+            raise ValueError("arcs not closed under reversal")
         return G
 
     @classmethod
@@ -282,7 +277,7 @@ class Graph:
         ints = np.arange(self.n).astype(object)
         return chain.from_iterable(
             zip(ints[r].tolist(), ints[c].tolist())
-            for r, c in _edge_arrays(self.n, self.rows, upper=True)
+            for r, c in _edge_arrays(self.n, self.rows)
         )
 
     def is_regular(self) -> bool:
@@ -776,15 +771,14 @@ def _find_c4(G: Graph) -> list[int] | None:
 
 def _odd_girth(G: Graph) -> tuple[int, list[int]] | None:
     """(odd girth, witness cycle) or None if bipartite."""
-    best_len = None
-    best_at = None
+    best = None  # (length, u, v, parent) of the shortest odd closed walk found
     for r in range(G.n):
         level = {r: 0}
         parent = {r: -1}
         frontier = [r]
         depth = 0
         while frontier:
-            if best_len is not None and 2 * depth + 1 >= best_len:
+            if best is not None and 2 * depth + 1 >= best[0]:
                 break
             nxt = []
             for u in frontier:
@@ -793,23 +787,21 @@ def _odd_girth(G: Graph) -> tuple[int, list[int]] | None:
                         level[v] = depth + 1
                         parent[v] = u
                         nxt.append(v)
-                    elif level[v] == level[u] and (best_len is None or 2 * depth + 1 < best_len):
-                        best_len = level[u] + level[v] + 1
-                        best_at = (r, u, v, dict(parent))
+                    elif level[v] == level[u] and (best is None or 2 * depth + 1 < best[0]):
+                        # not copied: BFS only adds keys, and each root gets a new dict
+                        best = (2 * depth + 1, u, v, parent)
             frontier = nxt
             depth += 1
-    if best_len is None:
+    if best is None:
         return None
-    _, u, v, parent = best_at
+    _, u, v, parent = best
     path_u, path_v = [u], [v]
     while parent[path_u[-1]] != -1:
         path_u.append(parent[path_u[-1]])
     while parent[path_v[-1]] != -1:
         path_v.append(parent[path_v[-1]])
-    # strip the common tail above the lowest common ancestor
-    while len(path_u) > 1 and len(path_v) > 1 and path_u[-2] == path_v[-2]:
-        path_u.pop()
-        path_v.pop()
+    # the record is an odd closed walk of the least length found, the odd
+    # girth g, so the paths meet only at r: else a shorter odd walk closes
     cycle = path_u + path_v[-2::-1]
     return len(cycle), cycle
 
@@ -996,7 +988,8 @@ def enumerate_independent_sets(G: Graph, t: int, limit: int = ENUMERATION_LIMIT)
 
 def shadow_graph(H: LinearHypergraph) -> Graph:
     """Graph joining every pair of vertices that share a hyperedge."""
-    return Graph(H.n, _shadow_rows(H.n, H.edges))
+    # symmetric, loopless and in range: a row ORs one mask per hyperedge
+    return Graph._valid(H.n, _shadow_rows(H.n, H.edges))
 
 
 def is_strongly_pattern_free(
@@ -1035,7 +1028,7 @@ def write_graph(G: Graph, fh, header: dict | None = None) -> None:
     head = dict(header or {})
     head["n"] = G.n
     fh.write("# " + json.dumps(head, sort_keys=True) + "\n")
-    for r, c in _edge_arrays(G.n, G.rows, upper=True):
+    for r, c in _edge_arrays(G.n, G.rows):
         fh.write(("%d %d\n" * len(r)) % tuple(np.stack((r, c), axis=1).ravel().tolist()))
 
 
@@ -1072,20 +1065,39 @@ def _read_header(fh, kind: str) -> dict:
     return header
 
 
+def _edge_lines(text: str) -> np.ndarray | None:
+    """The (m, 2) int32 array of the edge lines `text`, blank lines skipped,
+    or None unless every other line holds two vertex numbers."""
+    try:
+        pairs = np.loadtxt(io.StringIO(text), np.int32, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return pairs if pairs.shape[1] == 2 else None
+
+
 def read_graph(fh) -> tuple[Graph, dict]:
     """The graph of write_graph's text.  Each later line holds two vertices
     or is skipped: blank lines, and lines whose first word starts with '#'.
-    A '#' after a vertex is not a comment."""
+    A '#' after a vertex is not a comment.  A malformed line is named by its
+    file line number, the header being line 1."""
     header = _read_header(fh, "graph")
     n = header["n"]
     blocks = []
+    line = 2  # the file line the next block starts on
     while block := fh.read(_READ_CHARS):
         block += fh.readline()
         if "#" in block:
-            block = _COMMENT_LINE.sub("", block)
+            block = _COMMENT_LINE.sub("", block)  # comment lines become blank
         if block and not block.isspace():
-            pairs = np.loadtxt(io.StringIO(block), np.int32, comments=None, ndmin=2)
+            pairs = _edge_lines(block)
+            if pairs is None:  # loadtxt parses each line on its own, so one fails alone
+                i, text = next(
+                    (i, text) for i, text in enumerate(block.split("\n"))
+                    if text.strip() and _edge_lines(text) is None
+                )
+                raise ValueError(f"line {line + i} is not two vertex numbers: {text!r}")
             blocks.append(_vertex_pairs(n, pairs))
+        line += block.count("\n")
     return Graph._valid(n, _pair_rows(n, blocks)), header
 
 

@@ -82,7 +82,8 @@ def bichromatic_subgraph(H: LinearHypergraph, coloring: EdgeColoring) -> Graph:
         zeros = sum(1 << v for j, v in enumerate(edge) if not b >> j & 1)
         for v in edge:
             rows[v] |= zeros if ones >> v & 1 else ones
-    return Graph(H.n, rows)
+    # symmetric, loopless and in range: "ones" get "zeros" and "zeros" get "ones"
+    return Graph._valid(H.n, rows)
 
 
 class TransferParams(NamedTuple):

@@ -415,6 +415,12 @@ def test_certify_checks_ambient_pattern_before_alpha(capsys):
         (["er", "--q", "64"], "08f56ce84bb0c1606211d901e04582664468171b21fc4c7d8f9b0ddd722b7dfc"),
         (["er", "--q", "81"], "66f04e8e53bbcb8a92aadfd3433b5178edea249677f3bb8f5f19e2dac347ea42"),
         (["unital", "--q", "8"], "c80476da812f5c8134ac1867776be5514f36e7045e3919ec6fb40e52ac0741ce"),
+        (["bip", "--q", "11", "--s", "2", "--variant", "symmetrized"],
+         "c28dc30cb200612248b7eab61cf1d2e24837e693b97b2aa930bfd5c35c20a87f"),
+        (["bip", "--q", "13", "--s", "2", "--variant", "canonical"],
+         "b0f4fb4ed7779a9b9a028ea10038e417e9fbc4d941eb6d4f59fc8c731b66f044"),
+        (["unital", "--q", "7"], "65096f5082082af78fbf5ff4bc42c579dbe895842a1f9926010d75493c8dabe7"),
+        (["er", "--q", "2"], "0e2fe49a53bf498501a7702070f475783c9c7bd00c7c87957d8c26ad20752f82"),
     ],
 )
 def test_construct_output_pinned(capsys, argv, digest):
@@ -498,6 +504,32 @@ def test_check_rejects_malformed_edge_lines(capsys, tmp_path, body):
     path.write_text('# {"n": 3}\n' + body)
     code, out, err = run(capsys, ["check", "--pattern", "c4", "--in", str(path)])
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_check_names_the_malformed_line(capsys, tmp_path):
+    # the bad line lies past the first block the reader parses
+    path = tmp_path / "bad.txt"
+    body = "0 1\n" * (gc._READ_CHARS // 4 + 10)
+    path.write_text('# {"n": 3}\n' + body + "1 2\n0 1 # x\n")
+    code, out, err = run(capsys, ["check", "--pattern", "c4", "--in", str(path)])
+    line = 1 + body.count("\n") + 2
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith(f"error: line {line} is not two vertex numbers: '0 1 # x'")
+
+
+def test_certify_bip_needs_pattern(capsys):
+    code, out, err = run(capsys, ["certify", "--family", "bip", "--q", "5", "--s", "2"])
+    assert code == 2 and out == "" and "certify --family bip needs --pattern" in err
+
+
+def test_spectrum_of_an_edgeless_graph(capsys, tmp_path):
+    # regular of degree 0: the Hoffman bound is undefined and Alon-Boppana is not run
+    path = tmp_path / "empty.txt"
+    path.write_text('# {"n": 4}\n')
+    code, out, _ = run(capsys, ["spectrum", "--in", str(path)])
+    payload = json.loads(out)
+    assert code == 0 and payload["regular"] is True and payload["d"] == 0.0
+    assert payload["hoffman"] is None and payload["alonBoppana"] is None
 
 
 def test_check_vertex_cap(capsys, tmp_path):

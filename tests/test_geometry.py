@@ -267,15 +267,15 @@ def test_unital_blocks_match_line_by_line_evaluation(q):
 
 def test_unital_rejects_a_line_meeting_the_curve_oddly(monkeypatch):
     # a line meeting the curve in neither 1 nor q + 1 points is an error
-    form_matrix = geo._form_matrix
+    polar_lines = geo._polar_lines
 
-    def tangent_everywhere(L, R, *args):
-        acc = form_matrix(L, R, *args)
-        acc[0] = 0  # the block's first line meets every curve point
-        return acc
+    def first_line_off_the_curve(spec, X):
+        lines = polar_lines(spec, X)
+        lines[0] = 0  # every point of the first line is (0,0,1), off the curve
+        return lines
 
-    monkeypatch.setattr(geo, "_form_matrix", tangent_everywhere)
-    with pytest.raises(AssertionError, match="line meets curve in 28 points"):
+    monkeypatch.setattr(geo, "_polar_lines", first_line_off_the_curve)
+    with pytest.raises(AssertionError, match="line meets curve in 0 points"):
         geo.hermitian_unital(3)
 
 

@@ -14,6 +14,7 @@ import warnings
 from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,6 +111,24 @@ def test_asymmetric_rows_name_the_first_pair(scan_bytes):
                 with pytest.raises(ValueError) as err:
                     Graph(n, rows)
                 assert str(err.value) == want
+
+
+def test_arcs_missing_a_reverse_are_rejected():
+    rng = random.Random(14)
+    for _ in range(40):
+        n = rng.randint(2, 30)
+        G = random_graph(n, rng.random(), rng)
+        arcs = [(u, v) for u in range(n) for v in G.neighbors(u)]
+        rng.shuffle(arcs)
+        a, b = sorted(rng.sample(range(len(arcs) + 1), 2))
+        blocks = [np.array(part, np.int32).reshape(-1, 2) for part in (arcs[:a], arcs[a:b], arcs[b:])]
+        assert Graph._from_arcs(n, blocks) == G
+        if arcs:
+            blocks[0] = np.array(arcs[1:], np.int32).reshape(-1, 2)
+            with pytest.raises(ValueError, match="arcs not closed under reversal"):
+                Graph._from_arcs(n, blocks[:1])
+    with pytest.raises(ValueError, match="loop at vertex 2"):
+        Graph._from_arcs(3, [np.array([(0, 1), (1, 0), (2, 2)])])
 
 
 def test_keys_past_int32():
@@ -855,11 +874,26 @@ def test_odd_cycle_pattern():
     assert not free and gc.validate_witness(petersen(), ForbiddenPattern.odd_cycle(5), w)
 
 
+def pendant_cycles() -> list[Graph]:
+    """Odd cycles hanging off vertex 0 by a path, and a triangle and a C5 both
+    hanging off it: the first breadth-first search, from 0, meets each cycle
+    as a closed walk through the path, not as a simple cycle."""
+
+    def cycle(start: int, k: int) -> list[tuple[int, int]]:
+        return [(start + i, start + (i + 1) % k) for i in range(k)]
+
+    graphs = []
+    for k, tail in ((3, 1), (3, 2), (5, 1), (5, 3), (7, 2)):
+        graphs.append(Graph.from_edges(tail + k, [(i, i + 1) for i in range(tail)] + cycle(tail, k)))
+    graphs.append(Graph.from_edges(9, [(0, 1), (0, 4)] + cycle(1, 3) + cycle(4, 5)))
+    return graphs
+
+
 def test_odd_cycle_matches_brute_force():
     rng = random.Random(321)
-    for _ in range(30):
-        n = rng.randint(3, 9)
-        G = random_graph(n, rng.uniform(0.2, 0.7), rng)
+    graphs = [random_graph(rng.randint(3, 9), rng.uniform(0.2, 0.7), rng) for _ in range(30)]
+    for G in graphs + pendant_cycles():
+        n, shortest = G.n, None
         for k in (3, 5, 7):
             if k > n:
                 continue
@@ -870,10 +904,15 @@ def test_odd_cycle_matches_brute_force():
                 ):
                     brute = True
                     break
+            shortest = shortest or (k if brute else None)
             free, w = gc.is_pattern_free(G, ForbiddenPattern.odd_cycle(k))
             assert free == (not brute)
             if not free:
                 assert gc.validate_witness(G, ForbiddenPattern.odd_cycle(k), w)
+        if shortest is not None:  # the witness is a simple cycle of odd-girth length
+            girth, cycle = gc._odd_girth(G)
+            assert girth == shortest
+            assert gc.validate_witness(G, ForbiddenPattern.odd_cycle(girth), cycle)
 
 
 def test_odd_cycle_longer_than_graph_is_not_searched():
@@ -1165,6 +1204,20 @@ def test_reader_semantics(body, want):
         warnings.simplefilter("error")  # an empty body warns nothing
         G, _ = gc.read_graph(io.StringIO(text))
     assert set(G.edges()) == want and G == reference_read(text)
+
+
+@pytest.mark.parametrize("read_chars", [5, 40, 2**16])
+@pytest.mark.parametrize("bad", ["0 1 # x", "0 1 2", "0 x", "7", "99999999999 1", "1\r2"])
+def test_reader_names_the_malformed_line(read_chars, bad):
+    # past the first block of the body, after comment and blank lines; the
+    # header is line 1
+    good = "0 1\n# note\n\n2 1\n" * (read_chars // 12 + 3)
+    text = '# {"n": 3}\n' + good + "1 2\n" + bad + "\n0 1 2\n"
+    line = 1 + good.count("\n") + 2
+    message = f"line {line} is not two vertex numbers: {bad!r}"
+    with mock.patch.object(gc, "_READ_CHARS", read_chars):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gc.read_graph(io.StringIO(text))
 
 
 def test_reader_range_is_per_header():
