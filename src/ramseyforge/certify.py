@@ -100,6 +100,21 @@ _FIELDS = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_INT, _NUMBER = (_is_int, "an int"), (_is_number, "a number")
+_VARIANT = (lambda value: value in ("canonical", "symmetrized"), "'canonical' or 'symmetrized'")
+
+# params key of each family's certificates: (check its value passes, what that is)
+_PARAMS = {
+    "er": {"q": _INT, "p": _NUMBER},
+    "bip": {"q": _INT, "s": _INT, "variant": _VARIANT, "p": _NUMBER},
+    "unital-transfer": {"q": _INT, "colorSeed": _INT, "p": _NUMBER},
+}
+
+
 @dataclass(frozen=True)
 class RamseyCertificate:
     """Claim r(pattern, t) > witness_count, backed by a replayable witness.
@@ -128,7 +143,9 @@ class RamseyCertificate:
     @classmethod
     def from_json(cls, text: str) -> "RamseyCertificate":
         """Parse a certificate; ValueError unless it is a JSON object whose
-        fields have the types to_json writes."""
+        fields, and the params of a known family, have the types to_json
+        writes.  A params key left out, or an unknown family, is left to
+        verification: the rebuild uses the key's default or fails."""
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("certificate must be a JSON object")
@@ -140,6 +157,13 @@ class RamseyCertificate:
             fields[attr] = value
         if not all(_is_int(v) for v in fields["deletion_trace"]):
             raise ValueError("certificate field 'deletionTrace' must list ints")
+        keys = _PARAMS.get(fields["family"])
+        for key, value in fields["params"].items() if keys else ():  # else the rebuild fails
+            if key not in keys:
+                raise ValueError(f"certificate field 'params' takes no key {key!r}")
+            check, kind = keys[key]
+            if not check(value):
+                raise ValueError(f"certificate field 'params' key {key!r} must be {kind}")
         return cls(**{**fields, "deletion_trace": tuple(fields["deletion_trace"])})
 
 

@@ -356,11 +356,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first dispatch of the process; parse_args leaves a parser as it
+# found it, so every later dispatch reuses this one
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def dispatch(argv: Sequence[str]) -> int:
     """Parse and run one command; always returns an exit status."""
+    global _PARSER
     run = _Run(argv)
+    if _PARSER is None:
+        _PARSER = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     run.seed = getattr(args, "seed", None)

@@ -542,3 +542,72 @@ def test_check_vertex_cap(capsys, tmp_path):
     path.write_text('# {"n": 32768}\n')
     code, out, _ = run(capsys, ["check", "--pattern", "c4", "--in", str(path)])
     assert code == 0 and json.loads(out) == {"pattern": "c4", "free": True, "witness": None}
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("er", {"q": "5", "p": 1.0}),  # once verified VALID
+        ("er", {"q": 5.0, "p": 1.0}),  # once ended INVALID
+        ("er", {"q": True, "p": 1.0}),
+        ("er", {"q": 5, "p": "1"}),
+        ("er", {"q": 5, "p": False}),
+        ("er", {"q": 5, "p": 1.0, "s": 2}),
+        ("bip", {"q": 5, "s": "2", "p": 1.0}),
+        ("bip", {"q": 5, "s": 2, "variant": "other", "p": 1.0}),
+        ("unital-transfer", {"q": 2, "colorSeed": 1.5, "p": 1.0}),
+        ("unital-transfer", {"q": 2, "colorSeed": 1, "p": 1.0, "variant": "canonical"}),
+    ],
+)
+def test_verify_rejects_mistyped_params(capsys, tmp_path, family, params):
+    cert = {"family": family, "params": params, "pattern": "c4", "t": 11, "witnessCount": 31,
+            "seed": 0, "deletionTrace": [], "valid": True, "toolVersion": "0.1.0"}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, out, err = run(capsys, ["verify", "--cert", str(path)])
+    assert code == 2 and out == "" and "certificate field 'params'" in err
+
+
+def test_verify_accepts_the_params_certify_writes(capsys, tmp_path):
+    # an int p, and a bip certificate without its variant, still replay
+    path = tmp_path / "cert.json"
+    for family, params, t, count in (
+        ("er", {"q": 5, "p": 1}, 11, 31),
+        ("bip", {"q": 5, "s": 2, "p": 1.0}, 5, 10),
+    ):
+        cert = {"family": family, "params": params, "pattern": "c4", "t": t, "witnessCount": count,
+                "seed": 0, "deletionTrace": [], "valid": True, "toolVersion": "0.1.0"}
+        path.write_text(json.dumps(cert))
+        code, out, _ = run(capsys, ["verify", "--cert", str(path)])
+        assert (code, json.loads(out)["status"]) == (0, "VALID")
+
+
+def without_wall_time(err: str) -> str:
+    return re.sub(r'"wallTime":[^,}]*', "", err)
+
+
+def test_dispatch_reuses_one_parser(capsys, monkeypatch):
+    build = cli._build_parser
+    built = []
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+    certify = ["certify", "--family", "er", "--q", "3", "--pattern", "c4"]
+    sequence = [
+        ["fields", "--q", "x"],  # an argparse usage error
+        ["frobnicate"],
+        ["fields", "--q", "9", "--seed", "5"],
+        ["fields", "--q", "9"],
+        ["construct", "bip", "--q", "5", "--s", "2", "--variant", "symmetrized"],
+        ["construct", "bip", "--q", "5", "--s", "2"],
+        [*certify, "--t", "4"],
+        certify,
+        ["certify", "--family", "er", "--q", "3", "--p", "2"],
+    ]
+    shared = [run(capsys, argv) for argv in sequence * 2]
+    assert len(built) == 1
+    for argv, (code, out, err) in zip(sequence * 2, shared):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh = run(capsys, argv)
+        assert (code, out, without_wall_time(err)) == (fresh[0], fresh[1], without_wall_time(fresh[2]))
+    assert [r[0] for r in shared[: len(sequence)]] == [2, 2, 0, 0, 0, 0, 0, 0, 2]
+    assert manifest(shared[3][2])["seed"] == 0

@@ -6,6 +6,7 @@ import gc as collector
 import io
 import itertools
 import json
+import math
 import random
 import re
 import time
@@ -196,6 +197,38 @@ def test_relabel_linear_in_row_length():
     relabelled = gc._relabel(rows, order)
     assert time.perf_counter() - start < 1.0
     assert relabelled == rows
+
+
+def reference_relabel(rows, order):
+    """_relabel one bit at a time: bit i of new row j is bit order[i] of
+    rows[order[j]]."""
+    return [sum(1 << i for i, u in enumerate(order) if rows[v] >> u & 1) for v in order]
+
+
+def test_packed_relabel_matches_per_bit_relabel(monkeypatch):
+    # orders are empty, single, sorted or shuffled as the search's degree
+    # order is, and rows keep bits of vertices outside the order; the two
+    # sizes about the crossover have sparse rows, so the per-bit walk is quick
+    rng = random.Random(1515)
+    cases = []
+    for n in (0, 1, 2, 7, 8, 9, 15, 17, 63, 65, 106, 183):
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        for m in {m for m in (0, 1, n // 3, n - 1, n) if 0 <= m <= n}:
+            order = rng.sample(range(n), m)
+            cases += [(rows, order), (rows, sorted(order))]
+    for rows, order in cases:
+        assert gc._relabel(rows, order) == reference_relabel(rows, order)
+    side = math.isqrt(gc._DENSE_BITS)
+    assert side * side == gc._DENSE_BITS
+    for n in (side, side + 1):  # packed at n * n = _DENSE_BITS, per bit past it
+        rows = [sum(1 << u for u in rng.sample(range(n), 20)) for _ in range(n)]
+        cases += [(rows, rng.sample(range(n), n)), (rows, rng.sample(range(n), n // 2))]
+    for rows, order in cases:
+        want = gc._relabel(rows, order)
+        for dense_bits in (0, len(rows) * len(order)):  # per bit, packed
+            monkeypatch.setattr(gc, "_DENSE_BITS", dense_bits)
+            assert gc._relabel(rows, order) == want
+        monkeypatch.undo()
 
 
 def test_induced_matches_pair_scan():
@@ -1207,7 +1240,7 @@ def test_reader_semantics(body, want):
 
 
 @pytest.mark.parametrize("read_chars", [5, 40, 2**16])
-@pytest.mark.parametrize("bad", ["0 1 # x", "0 1 2", "0 x", "7", "99999999999 1", "1\r2"])
+@pytest.mark.parametrize("bad", ["0 1 # x", "0 1 2", "0 x", "7", "99999999999 1", "1\r2", "\r  ", "\r\r"])
 def test_reader_names_the_malformed_line(read_chars, bad):
     # past the first block of the body, after comment and blank lines; the
     # header is line 1
