@@ -15,7 +15,6 @@ import numpy as np
 from .gf import (
     FieldElement,
     FieldSpec,
-    conjugate_norm,
     op_tables,
     smallest_nonresidue,
     spec_for,
@@ -117,9 +116,16 @@ def enumerate_pg_points(dim: int, spec: FieldSpec) -> list[ProjectivePoint]:
 # built only for what a function returns.
 
 
-def _np_tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    t = op_tables(spec)
-    return np.array(t.add, dtype=np.int32), np.array(t.mul, dtype=np.int32)
+def _powers(mul: np.ndarray, e: int, one: int) -> np.ndarray:
+    """Index of x^e for every element x, by square-and-multiply gathers."""
+    result = np.full(len(mul), one, dtype=mul.dtype)
+    base = np.arange(len(mul), dtype=mul.dtype)
+    while e:
+        if e & 1:
+            result = mul[result, base]
+        base = mul[base, base]
+        e >>= 1
+    return result
 
 
 def _form_diagonal(P, weights, add, mul) -> np.ndarray:
@@ -171,16 +177,15 @@ def _reflection_generators(spec: FieldSpec, V: np.ndarray, weights) -> list[tupl
     are the two levels of orbits that graphcore's orbital branching uses."""
     if spec.q % 2 == 0:
         raise ValueError("reflections need an odd field order")
-    add, mul = _np_tables(spec)
-    tables = op_tables(spec)
+    add, mul, neg, chi = op_tables(spec).arrays
     n, q = len(V), spec.q
     one = spec.index(spec.one())
     inv = np.argmax(mul == one, axis=1)
-    minus_two = tables.neg[add[one, one]]
+    minus_two = neg[add[one, one]]
     vertex_of = np.full(q ** V.shape[1], -1, dtype=np.int64)
     vertex_of[_keys(V, q)] = np.arange(n)
     norm = _form_diagonal(V, weights, add, mul)
-    square_class = np.array(tables.chi)[norm]
+    square_class = chi[norm]
     classes = sorted(set(square_class.tolist()))
     chunk = max(1, 2**14 // n)  # mirrors whose images are computed at once
 
@@ -237,8 +242,7 @@ def _polar_lines(spec: FieldSpec, X: np.ndarray) -> np.ndarray:
     """Row i lists the vertex indices of the q+1 points y of PG(2, q) with
     X[i].y = 0, solved for with one coordinate free, and indexed by the order
     of _point_rows: (0,0,1) is 0, (0,1,b) is 1 + b and (1,a,b) is 1 + q + aq + b."""
-    add, mul = _np_tables(spec)
-    neg = np.array(op_tables(spec).neg, dtype=np.int32)
+    add, mul, neg, _ = op_tables(spec).arrays
     inv = np.argmax(mul == spec.index(spec.one()), axis=1)
     q = spec.q
     free = np.arange(q, dtype=np.int32)[None, :]  # the free coordinate of the line's points
@@ -278,7 +282,8 @@ def polarity_reflections(q) -> list[tuple[int, ...]]:
 def polarity_absolute_points(q) -> tuple[int, ...]:
     """Vertex indices of the absolute points (u.u = 0) of polarity_graph(q)."""
     spec, P, dot = _polarity_setup(q)
-    return tuple(np.flatnonzero(_form_diagonal(P, dot, *_np_tables(spec)) == 0).tolist())
+    t = op_tables(spec).arrays
+    return tuple(np.flatnonzero(_form_diagonal(P, dot, t.add, t.mul) == 0).tolist())
 
 
 # -- Hermitian unital -------------------------------------------------------
@@ -335,11 +340,8 @@ def hermitian_unital(q) -> BlockDesign:
     q = spec0.q
     spec = spec_for(q * q)
     P = _point_rows(2, spec)
-    add, mul = _np_tables(spec)
-    norm_idx = np.array(
-        [spec.index(conjugate_norm(e)) for e in spec.elements()], dtype=np.int32
-    )
-    N = norm_idx[P]
+    add, mul, _, _ = op_tables(spec).arrays
+    N = _powers(mul, q + 1, spec.index(spec.one()))[P]  # the norm x^(q+1) of each coordinate
     on_curve = add[add[N[:, 0], N[:, 1]], N[:, 2]] == 0
     curve = np.nonzero(on_curve)[0]
     if len(curve) != q**3 + 1:
@@ -384,8 +386,8 @@ def _square_type(q, s: int) -> tuple[FieldSpec, np.ndarray, tuple[int, ...]]:
         raise ValueError(f"s must be in 1..{MAX_CHARACTER_DIM}")
     weights = (spec.index(smallest_nonresidue(spec)),) + (spec.index(spec.one()),) * s
     P = _point_rows(s, spec)
-    chi = np.array(op_tables(spec).chi, dtype=np.int8)
-    return spec, P[chi[_form_diagonal(P, weights, *_np_tables(spec))] == 1], weights
+    add, mul, _, chi = op_tables(spec).arrays
+    return spec, P[chi[_form_diagonal(P, weights, add, mul)] == 1], weights
 
 
 def bip_vertex_points(q, s: int) -> list[ProjectivePoint]:
@@ -410,8 +412,7 @@ def bip_graph(q, s: int, variant: str = "canonical") -> Graph:
     if variant not in BIP_VARIANTS:
         raise ValueError(f"variant must be one of {BIP_VARIANTS}")
     spec, V, weights = _square_type(q, s)
-    add, mul = _np_tables(spec)
-    chi = np.array(op_tables(spec).chi, dtype=np.int8)
+    add, mul, _, chi = op_tables(spec).arrays
     n = len(V)
     arcs = []
     step = max(1, 2**16 // n)  # rows per block: about 2**16 form values

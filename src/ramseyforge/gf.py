@@ -18,6 +18,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 # Monic irreducible moduli for the non-prime orders, low-to-high coefficients
 # including the leading 1.  Each entry is re-checked by the full
 # irreducibility test at FieldSpec construction time.
@@ -411,32 +413,68 @@ def frobenius(a: FieldElement) -> FieldElement:
     return a**a.spec.p
 
 
+class OpArrays(NamedTuple):
+    """The tables of OpTables as read-only numpy arrays: int32 add, mul and
+    neg, and int8 chi (None for even orders)."""
+
+    add: np.ndarray
+    mul: np.ndarray
+    neg: np.ndarray
+    chi: np.ndarray | None
+
+
 class OpTables(NamedTuple):
     """Index-based operation tables in the canonical element order.
 
     add[i][j] and mul[i][j] give the index of the sum/product of elements i
     and j; chi[i] is the quadratic character (None for even orders); neg[i]
-    the additive inverse.  The geometry constructions turn them into numpy
-    arrays and evaluate forms and polar lines by gathering through them.
+    the additive inverse.  `arrays` holds the same tables as numpy arrays,
+    which the geometry constructions gather through to evaluate forms and
+    polar lines.
     """
 
     add: tuple[tuple[int, ...], ...]
     mul: tuple[tuple[int, ...], ...]
     neg: tuple[int, ...]
     chi: tuple[int, ...] | None
+    arrays: OpArrays
 
 
 @lru_cache(maxsize=None)
 def op_tables(spec: FieldSpec) -> OpTables:
-    elems = list(spec.elements())
-    idx = spec.index
-    add = tuple(tuple(idx(a + b) for b in elems) for a in elems)
-    mul = tuple(tuple(idx(a * b) for b in elems) for a in elems)
-    neg = tuple(idx(-a) for a in elems)
+    """The tables of GF(q), from all q x q sums and products of the
+    coefficient vectors at once."""
+    p, k, q = spec.p, spec.k, spec.q
+    place = p ** np.arange(k - 1, -1, -1, dtype=np.int64)  # coeffs[0] is the leading digit
+    C = np.arange(q, dtype=np.int64)[:, None] // place % p  # C[i] = element i's coeffs
+    add = (C[:, None, :] + C[None, :, :]) % p @ place
+    neg = -C % p @ place
+    # the product's coefficients, low to high, then the terms of degree
+    # k..2k-2 reduced from the top down by x^k = -(m_0 + ... + m_{k-1} x^(k-1))
+    prod = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
+    for j in range(k):
+        prod[:, :, j : j + k] += C[:, None, j, None] * C[None, :, :]
+    low = np.array(spec.modulus[:k], dtype=np.int64)
+    for d in range(2 * k - 2, k - 1, -1):
+        prod[:, :, d - k : d] -= prod[:, :, d, None] % p * low
+    mul = prod[:, :, :k] % p @ place
     chi = None
-    if spec.q % 2 == 1:
-        chi = tuple(quadratic_character(a) for a in elems)
-    return OpTables(add, mul, neg, chi)
+    if q % 2:
+        # Euler's criterion: the nonzero squares are exactly {x^2 : x != 0}
+        chi = np.full(q, -1, dtype=np.int8)
+        chi[np.diagonal(mul)] = 1
+        chi[0] = 0
+    arrays = OpArrays(add.astype(np.int32), mul.astype(np.int32), neg.astype(np.int32), chi)
+    for t in arrays:
+        if t is not None:
+            t.flags.writeable = False
+    return OpTables(
+        tuple(map(tuple, arrays.add.tolist())),
+        tuple(map(tuple, arrays.mul.tolist())),
+        tuple(arrays.neg.tolist()),
+        None if chi is None else tuple(chi.tolist()),
+        arrays,
+    )
 
 
 def modulus_table() -> dict[int, tuple[int, ...]]:

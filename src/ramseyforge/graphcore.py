@@ -740,7 +740,10 @@ def _find_clique(
     if symmetry is not None and budget is None:
         best, witness = _orbital_alpha(G, symmetry, s - 1, s)
     else:
-        best, witness, status = _max_clique_search(G, budget, s, complement)
+        # seeking only s-sets prunes just the subtrees whose colour bound
+        # rules out one, and the cut does not steer the branching: the first
+        # s-set in search order, the witness, is the floor-0 search's
+        best, witness, status = _max_clique_search(G, budget, s, complement, s - 1)
         if status == "budget":
             raise UndecidedError(f"clique({s}) search exhausted budget {budget}")
     return witness[:s] if best >= s else None  # a sorted set's prefix stays sorted

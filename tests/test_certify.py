@@ -219,9 +219,9 @@ def test_pipeline_unital_proves_alpha_once(monkeypatch):
     searched = []
     search = gc._max_clique_search
 
-    def counted(G, budget, target, complement=False):
+    def counted(G, budget, target, complement=False, floor=0):
         searched.append(complement)
-        return search(G, budget, target, complement)
+        return search(G, budget, target, complement, floor)
 
     monkeypatch.setattr(gc, "_max_clique_search", counted)
     cert = ce.pipeline_unital(3, 1, 7, t=12)

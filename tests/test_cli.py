@@ -15,6 +15,7 @@ import pytest
 
 from ramseyforge import cli
 from ramseyforge import geometry as geo
+from ramseyforge import gf
 from ramseyforge import graphcore as gc
 from ramseyforge import transfer as tr
 from ramseyforge.cli import dispatch
@@ -51,6 +52,19 @@ def test_fields(capsys):
     assert run(capsys, ["fields", "--q", "6"])[0] == 2
     m = manifest(err)
     assert m["toolVersion"] == "0.1.0" and m["argv"] == ["fields", "--q", "9"]
+
+
+def test_fields_large_prime_builds_no_tables(capsys, monkeypatch):
+    # GF(9973)'s tables would hold 10^8 entries; the least non-residue is
+    # found by element powers alone
+    def refuse(spec):
+        raise AssertionError(f"op_tables({spec}) called")
+
+    monkeypatch.setattr(gf, "op_tables", refuse)
+    monkeypatch.setattr(geo, "op_tables", refuse)
+    code, out, _ = run(capsys, ["fields", "--q", "9973"])
+    assert code == 0
+    assert json.loads(out)["smallestNonresidue"] == [2]
 
 
 def test_construct_roundtrip(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -240,20 +241,55 @@ def test_canonical_order_and_index():
     assert coeff_tuples == sorted(coeff_tuples)
 
 
+def _check_tables(spec, pairs):
+    """op_tables against element arithmetic on the given index pairs."""
+    tabs = gf.op_tables(spec)
+    elems = list(spec.elements())
+    assert tabs.neg == tuple(spec.index(-a) for a in elems)
+    if spec.q % 2:
+        assert tabs.chi == tuple(gf.quadratic_character(a) for a in elems)
+    else:
+        assert tabs.chi is None
+    for i, j in pairs:
+        a, b = elems[i], elems[j]
+        assert tabs.add[i][j] == spec.index(a + b)
+        assert tabs.mul[i][j] == spec.index(a * b)
+    arrays = tabs.arrays
+    assert arrays.add.tolist() == list(map(list, tabs.add))
+    assert arrays.mul.tolist() == list(map(list, tabs.mul))
+    assert arrays.neg.tolist() == list(tabs.neg)
+    assert (arrays.chi is None) == (tabs.chi is None)
+    if tabs.chi is not None:
+        assert arrays.chi.tolist() == list(tabs.chi)
+    assert not any(t.flags.writeable for t in arrays if t is not None)
+
+
 def test_op_tables_consistency():
-    for q in (5, 8, 9):
+    # every entry, for each order that a command reaches
+    for q in (q for q in gf.modulus_table() if q <= 81):
         spec = gf.spec_for(q)
-        tabs = gf.op_tables(spec)
-        elems = list(spec.elements())
-        for i, a in enumerate(elems):
-            assert tabs.neg[i] == spec.index(-a)
-            for j, b in enumerate(elems):
-                assert tabs.add[i][j] == spec.index(a + b)
-                assert tabs.mul[i][j] == spec.index(a * b)
-        if q % 2:
-            assert tabs.chi == tuple(gf.quadratic_character(a) for a in elems)
-        else:
-            assert tabs.chi is None
+        _check_tables(spec, ((i, j) for i in range(q) for j in range(q)))
+
+
+@pytest.mark.parametrize(
+    "q", [121, 125, 128, 169] + [q for q in gf.modulus_table() if 81 < q < 170 and gf._is_prime(q)]
+)
+def test_op_tables_sampled_pairs(q):
+    rng = random.Random(q)
+    _check_tables(gf.spec_for(q), [(rng.randrange(q), rng.randrange(q)) for _ in range(5000)])
+
+
+def test_op_tables_use_no_element_arithmetic(monkeypatch):
+    spec = gf.spec_for(81)
+    expected = gf.op_tables(spec)
+
+    def refuse(*args):
+        raise AssertionError("field element arithmetic in op_tables")
+
+    for name in ("__add__", "__mul__", "__pow__", "__neg__", "__sub__"):
+        monkeypatch.setattr(gf.FieldElement, name, refuse)
+    got = gf.op_tables.__wrapped__(spec)  # bypass the cache
+    assert got[:4] == expected[:4]
 
 
 @settings(max_examples=200, deadline=None)

@@ -521,6 +521,31 @@ def test_clique_search_matches_reference():
     assert min(statuses[s] for s in ("complete", "target", "budget")) > 100
 
 
+def test_find_clique_seeks_only_s_sets_with_the_same_witness():
+    # the floor s - 1 prunes only subtrees that hold no s-set and does not
+    # steer the branching: the first s-set, the witness, is the floor-0
+    # search's, and a budget that decided that search decides this one
+    rng = random.Random(1717)
+    decided_by_floor = 0
+    for _ in range(50):
+        G = random_graph(rng.randint(4, 26), rng.uniform(0.2, 0.8), rng)
+        for s in range(3, 8):
+            for complement in (False, True):
+                find = gc.find_independent_set if complement else gc.find_clique
+                for budget in (None, 4, 30, 300):
+                    best, witness, status = gc._max_clique_search(G, budget, s, complement)
+                    try:
+                        got = find(G, s, budget)
+                    except gc.UndecidedError:
+                        assert status == "budget"
+                        continue
+                    if status == "budget":
+                        decided_by_floor += 1
+                        continue
+                    assert got == (witness[:s] if best >= s else None)
+    assert decided_by_floor > 0
+
+
 def test_sizes_above_n_are_not_searched(monkeypatch):
     # no clique or independent set has more than n vertices
     def refuse(*args, **kwargs):
