@@ -1,4 +1,4 @@
-"""Replayable Ramsey lower-bound certificates and formula-level reports.
+"""Replayable Ramsey lower-bound certificates.
 
 A certificate names its witness graph indirectly: (family, params, seed,
 deletion trace) pin down a reconstruction recipe instead of shipping a vertex
@@ -6,9 +6,6 @@ list.  Verification rebuilds the ambient graph from scratch, replays the
 sample and the deletions, and re-runs both exact checks (pattern-freeness,
 independence number < t).  Nothing in a certificate is trusted; VALID means
 the replay passed both checks just now.
-
-Asymptotic statements are never asserted -- ``report_rst`` only evaluates the
-formulas at the given inputs and reports the gate arithmetic.
 """
 
 from __future__ import annotations
@@ -40,20 +37,10 @@ from .transfer import bichromatic_subgraph, derive_seed, random_coloring
 
 TOOL_VERSION = __version__
 
-_E2 = math.e**2
-
 PIPELINE_ORDERS = (2, 3, 4)
 
 
 # --- threshold formulas ------------------------------------------------------
-
-
-def t_pseudo(n: int, d: int) -> int:
-    """Independence threshold ceil(2 n (ln n)^2 / d) for an (n,d,lambda)
-    input (natural log throughout; the paired constants assume it)."""
-    if n < 3 or d < 1:
-        raise ValueError("need n >= 3 and d >= 1")
-    return math.ceil(2 * n * math.log(n) ** 2 / d)
 
 
 def t_transfer(n: int, r: int, d: int) -> int:
@@ -62,15 +49,6 @@ def t_transfer(n: int, r: int, d: int) -> int:
     if n < 1 or r < 1 or d < 1:
         raise ValueError("need n, r, d >= 1")
     return math.ceil(256 * n * math.log(n) ** 2 / (r * d))
-
-
-def default_probability(n: int, lam: float) -> float:
-    """Sampling probability (ln n)^2 / (4 e^2 lambda), clamped to 1 when the
-    expression exceeds it (small n or small lambda); soundness never depends
-    on p because certificates are re-checked, only the witness size does."""
-    if n < 3 or lam <= 0:
-        return 1.0
-    return min(1.0, math.log(n) ** 2 / (4 * _E2 * lam))
 
 
 # --- certificates ------------------------------------------------------------
@@ -339,37 +317,3 @@ def pipeline_unital(
         if best_key is None or key > best_key:
             best, best_key = cert, key
     return best
-
-
-# --- formula reports ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FormulaReport:
-    """Arithmetic-only evaluation; every field re-derives from inputs alone."""
-
-    inputs: dict
-    t: int
-    lower_bound: float
-    gates: dict
-
-
-def report_rst(n: int, d: int, lam: float, s: int) -> FormulaReport:
-    """Evaluate the clique-free lower-bound formulas at concrete inputs:
-    the bound n (ln n)^2 / (8 e^2 lambda), the gate 4 e^2 lambda >= (ln n)^2,
-    and the spectral-extremality ratio d / (lambda^(1/(s-1)) n^(1-1/(s-1))).
-    Report only; no validity is claimed beyond the arithmetic."""
-    if n < 3 or d < 1 or lam <= 0 or s < 3:
-        raise ValueError("need n >= 3, d >= 1, lambda > 0, s >= 3")
-    log2n = math.log(n) ** 2
-    exponent = 1 / (s - 1)
-    gate_lhs = 4 * _E2 * lam
-    return FormulaReport(
-        inputs={"n": n, "d": d, "lambda": lam, "s": s},
-        t=t_pseudo(n, d),
-        lower_bound=n * log2n / (8 * _E2 * lam),
-        gates={
-            "lambdaGate": {"lhs": gate_lhs, "rhs": log2n, "ok": gate_lhs >= log2n},
-            "ssvRatio": d / (lam**exponent * n ** (1 - exponent)),
-        },
-    )

@@ -111,14 +111,17 @@ def _budget(args) -> int | None:
 
 def _cmd_fields(args, run: _Run) -> int:
     spec = spec_for(args.q)
+    p, k = spec.p, spec.k
+    nonresidue = None
+    if p != 2:  # its coefficients c0, c1, ...: the index's base-p digits
+        index = smallest_nonresidue(spec)
+        nonresidue = [index // p ** (k - 1 - j) % p for j in range(k)]
     payload = {
         "order": spec.q,
-        "p": spec.p,
-        "k": spec.k,
+        "p": p,
+        "k": k,
         "modulus": list(spec.modulus),
-        "smallestNonresidue": None
-        if spec.p == 2
-        else list(smallest_nonresidue(spec).coeffs),
+        "smallestNonresidue": nonresidue,
     }
     _emit_json(payload, args, run)
     return EXIT_OK

@@ -1,24 +1,18 @@
 """Finite-geometry constructions.
 
-Projective points over GF(q), the orthogonal polarity graph on PG(2,q), the
-Hermitian unital with its dual line hypergraph, and the quadratic-character
-graphs on the square-type points of PG(s,q).
+The orthogonal polarity graph on PG(2,q), the Hermitian unital with its dual
+line hypergraph, and the quadratic-character graphs on the square-type points
+of PG(s,q).  Points are rows of element indices (see gf), and every form and
+polar line is evaluated by gathering through the field's operation tables.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gf import (
-    FieldElement,
-    FieldSpec,
-    op_tables,
-    smallest_nonresidue,
-    spec_for,
-)
+from .gf import FieldSpec, op_tables, smallest_nonresidue, spec_for
 from .graphcore import Graph, LinearHypergraph, _merge_orbits
 
 MAX_POINTS = 1_000_000
@@ -28,51 +22,6 @@ MAX_CHARACTER_ORDER = 13
 MAX_CHARACTER_DIM = 4
 
 BIP_VARIANTS = ("canonical", "symmetrized")
-
-
-class ProjectivePoint:
-    """A point of PG(dim, q): a nonzero coordinate vector, normalized so
-    that the first nonzero entry is one."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: Sequence[FieldElement]):
-        coords = tuple(coords)
-        if not coords:
-            raise ValueError("empty coordinate vector")
-        spec = coords[0].spec
-        if any(c.spec != spec for c in coords[1:]):
-            raise ValueError("coordinates from different fields")
-        pivot = next((c for c in coords if c), None)
-        if pivot is None:
-            raise ValueError("the zero vector is not a projective point")
-        if pivot != spec.one():
-            inv = pivot.inverse()
-            coords = tuple(c * inv for c in coords)
-        self.coords = coords
-
-    @property
-    def spec(self) -> FieldSpec:
-        return self.coords[0].spec
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __getitem__(self, i) -> FieldElement:
-        return self.coords[i]
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProjectivePoint) and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
-
-    def __repr__(self) -> str:
-        inner = ":".join(repr(c) for c in self.coords)
-        return f"({inner})"
 
 
 def _point_rows(dim: int, spec: FieldSpec) -> np.ndarray:
@@ -86,34 +35,17 @@ def _point_rows(dim: int, spec: FieldSpec) -> np.ndarray:
     count = (q ** (dim + 1) - 1) // (q - 1)
     if count > MAX_POINTS:
         raise ValueError(f"PG({dim},{q}) has {count} points, over the cap {MAX_POINTS}")
-    one = spec.index(spec.one())
     blocks = []
     for lead in range(dim, -1, -1):
         tails = np.array(list(itertools.product(range(q), repeat=dim - lead)), dtype=np.int32)
         block = np.zeros((len(tails), dim + 1), dtype=np.int32)
-        block[:, lead] = one
+        block[:, lead] = spec.one
         block[:, lead + 1 :] = tails
         blocks.append(block)
     return np.concatenate(blocks)
 
 
-def _points(rows: np.ndarray, spec: FieldSpec) -> list[ProjectivePoint]:
-    elems = [spec.element_at(i) for i in range(spec.q)]
-    return [ProjectivePoint([elems[i] for i in row]) for row in rows.tolist()]
-
-
-def enumerate_pg_points(dim: int, spec: FieldSpec) -> list[ProjectivePoint]:
-    """All points of PG(dim, q), in canonical lexicographic order on the
-    normalized coordinate tuples (field elements in canonical order)."""
-    return _points(_point_rows(dim, spec), spec)
-
-
 # -- table-driven bilinear forms ------------------------------------------
-#
-# Every construction below runs on element *indices* in the canonical order
-# (index 0 is the zero element): the forms are evaluated on the rows of
-# _point_rows by gathering through the add/mul tables, and point objects are
-# built only for what a function returns.
 
 
 def _powers(mul: np.ndarray, e: int, one: int) -> np.ndarray:
@@ -177,9 +109,8 @@ def _reflection_generators(spec: FieldSpec, V: np.ndarray, weights) -> list[tupl
     are the two levels of orbits that graphcore's orbital branching uses."""
     if spec.q % 2 == 0:
         raise ValueError("reflections need an odd field order")
-    add, mul, neg, chi = op_tables(spec).arrays
-    n, q = len(V), spec.q
-    one = spec.index(spec.one())
+    add, mul, neg, chi = op_tables(spec)
+    n, q, one = len(V), spec.q, spec.one
     inv = np.argmax(mul == one, axis=1)
     minus_two = neg[add[one, one]]
     vertex_of = np.full(q ** V.shape[1], -1, dtype=np.int64)
@@ -234,16 +165,15 @@ def _polarity_setup(q) -> tuple[FieldSpec, np.ndarray, tuple[int, int, int]]:
     spec = spec_for(q)
     if spec.q > MAX_POLARITY_ORDER:
         raise ValueError(f"polarity graph supported for q <= {MAX_POLARITY_ORDER}")
-    one = spec.index(spec.one())
-    return spec, _point_rows(2, spec), (one, one, one)
+    return spec, _point_rows(2, spec), (spec.one,) * 3
 
 
 def _polar_lines(spec: FieldSpec, X: np.ndarray) -> np.ndarray:
     """Row i lists the vertex indices of the q+1 points y of PG(2, q) with
     X[i].y = 0, solved for with one coordinate free, and indexed by the order
     of _point_rows: (0,0,1) is 0, (0,1,b) is 1 + b and (1,a,b) is 1 + q + aq + b."""
-    add, mul, neg, _ = op_tables(spec).arrays
-    inv = np.argmax(mul == spec.index(spec.one()), axis=1)
+    add, mul, neg, _ = op_tables(spec)
+    inv = np.argmax(mul == spec.one, axis=1)
     q = spec.q
     free = np.arange(q, dtype=np.int32)[None, :]  # the free coordinate of the line's points
     x0, x1, x2 = (c[:, None] for c in X.T)
@@ -282,66 +212,26 @@ def polarity_reflections(q) -> list[tuple[int, ...]]:
 def polarity_absolute_points(q) -> tuple[int, ...]:
     """Vertex indices of the absolute points (u.u = 0) of polarity_graph(q)."""
     spec, P, dot = _polarity_setup(q)
-    t = op_tables(spec).arrays
-    return tuple(np.flatnonzero(_form_diagonal(P, dot, t.add, t.mul) == 0).tolist())
+    add, mul, _, _ = op_tables(spec)
+    return tuple(np.flatnonzero(_form_diagonal(P, dot, add, mul) == 0).tolist())
 
 
 # -- Hermitian unital -------------------------------------------------------
 
 
-class BlockDesign(LinearHypergraph):
-    """Linear hypergraph whose vertices are geometric points: the blocks are
-    its hyperedges, so any two points share at most one block, and every
-    point lies in the same number of blocks."""
-
-    __slots__ = ("points",)
-
-    def __init__(self, points: Sequence[ProjectivePoint], blocks: Iterable[Iterable[int]]):
-        self.points = tuple(points)
-        super().__init__(len(self.points), blocks)
-        if not self.is_regular():
-            raise ValueError(f"mixed point degrees {sorted(set(self.degrees))}")
-
-    @property
-    def v(self) -> int:
-        return self.n
-
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        return self.edges
-
-    @property
-    def block_size(self) -> int:
-        return self.r
-
-    @property
-    def point_degree(self) -> int:
-        return self.degrees[0]
-
-    def is_steiner(self) -> bool:
-        """True when every point pair lies in exactly one block."""
-        covered = sum(len(b) * (len(b) - 1) // 2 for b in self.blocks)
-        return covered == self.v * (self.v - 1) // 2
-
-    def __repr__(self) -> str:
-        return (
-            f"BlockDesign(v={self.v}, blocks={len(self.blocks)}, "
-            f"k={self.block_size}, r={self.point_degree})"
-        )
-
-
-def hermitian_unital(q) -> BlockDesign:
+def hermitian_unital(q) -> LinearHypergraph:
     """The Hermitian unital of order q: the q^3+1 points of the curve
-    norm(x0) + norm(x1) + norm(x2) = 0 in PG(2, q^2), with one block per
-    secant line (q+1 points each, q^2(q^2-q+1) blocks in total)."""
+    norm(x0) + norm(x1) + norm(x2) = 0 in PG(2, q^2), numbered in point
+    order, with one block (hyperedge) per secant line: q+1 points each,
+    q^2(q^2-q+1) blocks in total."""
     spec0 = spec_for(q)
     if spec0.q > MAX_UNITAL_ORDER:
         raise ValueError(f"hermitian unital supported for q <= {MAX_UNITAL_ORDER}")
     q = spec0.q
     spec = spec_for(q * q)
     P = _point_rows(2, spec)
-    add, mul, _, _ = op_tables(spec).arrays
-    N = _powers(mul, q + 1, spec.index(spec.one()))[P]  # the norm x^(q+1) of each coordinate
+    add, mul, _, _ = op_tables(spec)
+    N = _powers(mul, q + 1, spec.one)[P]  # the norm x^(q+1) of each coordinate
     on_curve = add[add[N[:, 0], N[:, 1]], N[:, 2]] == 0
     curve = np.nonzero(on_curve)[0]
     if len(curve) != q**3 + 1:
@@ -357,17 +247,25 @@ def hermitian_unital(q) -> BlockDesign:
     secants = counts == q + 1
     curve_index = np.cumsum(on_curve) - 1
     blocks = curve_index[lines[secants][hits[secants]]].reshape(-1, q + 1)
-    design = BlockDesign(_points(P[curve], spec), blocks.tolist())  # it sorts each block
-    if len(design.blocks) != q * q * (q * q - q + 1) or not design.is_steiner():
+    unital = LinearHypergraph(len(curve), blocks.tolist())  # it sorts each block
+    # a 2-(q^3+1, q+1, 1) design: q^2 blocks through every point, and the
+    # blocks, any two sharing at most one point, cover every pair of points
+    b, v = len(unital.edges), len(curve)
+    if (
+        not unital.is_regular()
+        or unital.degrees[0] != q * q
+        or b != q * q * (q * q - q + 1)
+        or b * (q + 1) * q != v * (v - 1)
+    ):
         raise AssertionError("unital block structure is not a 2-design")
-    return design
+    return unital
 
 
 def unital_line_hypergraph(q) -> LinearHypergraph:
     """Dual of the Hermitian unital: one vertex per block, one hyperedge per
     unital point collecting the q^2 blocks through it."""
-    design = hermitian_unital(q)
-    return LinearHypergraph(len(design.blocks), design.incidence())
+    unital = hermitian_unital(q)
+    return LinearHypergraph(len(unital.edges), unital.incidence())
 
 
 # -- quadratic-character graphs ---------------------------------------------
@@ -384,17 +282,10 @@ def _square_type(q, s: int) -> tuple[FieldSpec, np.ndarray, tuple[int, ...]]:
         raise ValueError(f"character graph supported for q <= {MAX_CHARACTER_ORDER}")
     if not 1 <= s <= MAX_CHARACTER_DIM:
         raise ValueError(f"s must be in 1..{MAX_CHARACTER_DIM}")
-    weights = (spec.index(smallest_nonresidue(spec)),) + (spec.index(spec.one()),) * s
+    weights = (smallest_nonresidue(spec),) + (spec.one,) * s
     P = _point_rows(s, spec)
-    add, mul, _, chi = op_tables(spec).arrays
+    add, mul, _, chi = op_tables(spec)
     return spec, P[chi[_form_diagonal(P, weights, add, mul)] == 1], weights
-
-
-def bip_vertex_points(q, s: int) -> list[ProjectivePoint]:
-    """Canonical representatives x in PG(s, q) with chi(Q(x, x)) = 1, for
-    Q(x, y) = a*x0*y0 + x1*y1 + ... + xs*ys with a the least non-residue."""
-    spec, V, _ = _square_type(q, s)
-    return _points(V, spec)
 
 
 def bip_graph(q, s: int, variant: str = "canonical") -> Graph:
@@ -412,7 +303,7 @@ def bip_graph(q, s: int, variant: str = "canonical") -> Graph:
     if variant not in BIP_VARIANTS:
         raise ValueError(f"variant must be one of {BIP_VARIANTS}")
     spec, V, weights = _square_type(q, s)
-    add, mul, _, chi = op_tables(spec).arrays
+    add, mul, _, chi = op_tables(spec)
     n = len(V)
     arcs = []
     step = max(1, 2**16 // n)  # rows per block: about 2**16 form values

@@ -1,22 +1,21 @@
-"""Exact arithmetic in GF(p^k) with the quadratic character and norm maps.
+"""GF(p^k) as element indices over numpy operation tables.
 
-Elements are dense coefficient vectors over the prime field, reduced modulo a
-fixed monic irreducible polynomial.  Conventions:
-
-* Coefficient sequences are low-to-high: (c0, c1, ..., c_{k-1}) stands for
-  c0 + c1*x + ... + c_{k-1}*x^(k-1).
-* The canonical order on field elements is lexicographic on coefficient
-  tuples.  Every deterministic enumeration in the package (non-residue
-  search, projective point order, vertex numbering) derives from this order.
-* Moduli are fixed per field order in MODULI -- no runtime search.  Prime
-  fields use the degree-1 modulus x so that every field runs through the same
-  polynomial machinery.
+An element is an index 0..q-1: the base-p digits of the index, leading digit
+first, are its coefficients c0, c1, ..., c_{k-1} of c0 + c1*x + ... +
+c_{k-1}*x^(k-1), reduced modulo a fixed monic irreducible polynomial.  So 0
+is zero and q // p is one, and the canonical order on elements, from which
+every deterministic enumeration in the package derives (non-residue search,
+projective point order, vertex numbering), is lexicographic on coefficient
+tuples.  `op_tables` gives the sum, product, negation and quadratic
+character of every element as arrays of indices; the constructions gather
+through them and do no other field arithmetic.  Moduli are fixed per field
+order in MODULI -- no runtime search.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,16 +88,6 @@ def _poly_mod(num: Sequence[int], den: Sequence[int], p: int) -> list[int]:
     return num[:dn]
 
 
-def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_mod(prod, mod, p)
-
-
 def _poly_is_irreducible(mod: Sequence[int], p: int) -> bool:
     """Full irreducibility test: trial division by every monic polynomial of
     degree 1..k//2.  Exhaustive but cheap at the supported orders."""
@@ -119,7 +108,7 @@ def _poly_is_irreducible(mod: Sequence[int], p: int) -> bool:
 class FieldSpec:
     """Immutable description of GF(p^k) with its fixed irreducible modulus."""
 
-    __slots__ = ("p", "k", "q", "modulus", "_hash")
+    __slots__ = ("p", "k", "q", "one", "modulus", "_hash")
 
     def __init__(self, p: int, k: int, modulus: Sequence[int] | None = None):
         if k < 1:
@@ -146,6 +135,7 @@ class FieldSpec:
         self.p = p
         self.k = k
         self.q = q
+        self.one = q // p  # the index of 1: coefficients (1, 0, ..., 0)
         self.modulus = modulus
         self._hash = hash((p, k, modulus))
 
@@ -163,166 +153,6 @@ class FieldSpec:
     def __repr__(self) -> str:
         return f"FieldSpec(GF({self.q}))"
 
-    # -- element constructors -------------------------------------------
-
-    def element(self, value) -> FieldElement:
-        """Build an element from an int (prime-subfield value) or a
-        coefficient sequence."""
-        if isinstance(value, FieldElement):
-            if value.spec != self:
-                raise ValueError("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            coeffs = (value % self.p,) + (0,) * (self.k - 1)
-            return FieldElement(self, coeffs)
-        coeffs = tuple(int(c) % self.p for c in value)
-        if len(coeffs) != self.k:
-            raise ValueError(f"expected {self.k} coefficients, got {len(coeffs)}")
-        return FieldElement(self, coeffs)
-
-    def zero(self) -> FieldElement:
-        return self.element(0)
-
-    def one(self) -> FieldElement:
-        return self.element(1)
-
-    def elements(self) -> Iterator[FieldElement]:
-        """All q elements in canonical (lexicographic) order."""
-        for i in range(self.q):
-            yield self.element_at(i)
-
-    def element_at(self, index: int) -> FieldElement:
-        """Element at a position in the canonical order (0 -> zero)."""
-        if not 0 <= index < self.q:
-            raise ValueError(f"index {index} out of range for GF({self.q})")
-        digits = []
-        for _ in range(self.k):
-            digits.append(index % self.p)
-            index //= self.p
-        digits.reverse()
-        return FieldElement(self, tuple(digits))
-
-    def index(self, a: FieldElement) -> int:
-        """Position of an element in the canonical order."""
-        if a.spec != self:
-            raise ValueError("element belongs to a different field")
-        i = 0
-        for c in a.coeffs:
-            i = i * self.p + c
-        return i
-
-
-class FieldElement:
-    """An element of GF(p^k): an immutable reduced coefficient tuple."""
-
-    __slots__ = ("spec", "coeffs")
-
-    def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...]):
-        self.spec = spec
-        self.coeffs = coeffs
-
-    def _lift(self, other):
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                raise ValueError("cannot mix elements of different fields")
-            return other
-        if isinstance(other, int):
-            return self.spec.element(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        p = self.spec.p
-        return FieldElement(
-            self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs))
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        p = self.spec.p
-        return FieldElement(self.spec, tuple(-a % p for a in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        p = self.spec.p
-        return FieldElement(
-            self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs))
-        )
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        spec = self.spec
-        return FieldElement(spec, tuple(_poly_mulmod(self.coeffs, o.coeffs, spec.modulus, spec.p)))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> FieldElement:
-        """Multiplicative inverse a^(q-2): the nonzero elements form a group
-        of order q - 1, so a^(q-1) = 1 by Lagrange's theorem."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        return self ** (self.spec.q - 2)
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if not o:
-            raise ZeroDivisionError("division by zero field element")
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        base = self
-        if e < 0:
-            base = self.inverse()
-            e = -e
-        result = self.spec.one()
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = self.spec.element(other)
-        return (
-            isinstance(other, FieldElement)
-            and self.spec == other.spec
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.coeffs))
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"GF({self.spec.q}){list(self.coeffs)}"
-
 
 @lru_cache(maxsize=None)
 def spec_for(order) -> FieldSpec:
@@ -339,105 +169,38 @@ def parse_order(order) -> int:
         return order
     text = str(order).strip()
     if "^" in text:
-        p, k = (int(part) for part in text.split("^", 1))
-        if abs(p) > 1 and k > MAX_ORDER.bit_length():  # no field this large; skip p**k
+        p, k = (part.strip() for part in text.split("^", 1))
+        if not (p.isascii() and p.isdigit() and k.isascii() and k.isdigit()):
+            raise ValueError(f"field order {text!r} is not p^k in unsigned digits")
+        p, k = int(p), int(k)
+        if p > 1 and k > MAX_ORDER.bit_length():  # no field this large; skip p**k
             raise ValueError(f"field order {text} exceeds supported maximum {MAX_ORDER}")
         return p**k
     return int(text)
 
 
-def field_arith(a: FieldElement, b, kind: str) -> FieldElement:
-    """Uniform entry point for the arithmetic: kind is one of add, sub, mul,
-    div, pow (pow takes an integer exponent as b)."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    if kind == "pow":
-        if not isinstance(b, int):
-            raise ValueError("pow exponent must be an integer")
-        return a**b
-    raise ValueError(f"unknown arithmetic kind: {kind}")
-
-
-def quadratic_character(a: FieldElement) -> int:
-    """chi(a) in {-1, 0, +1}: 0 for zero, +1 for nonzero squares, -1 otherwise.
-
-    Computed as a^((q-1)/2).  Defined only for odd field orders.
-    """
-    spec = a.spec
-    if spec.q % 2 == 0:
-        raise ValueError("quadratic character undefined in even characteristic")
-    if not a:
-        return 0
-    r = a ** ((spec.q - 1) // 2)
-    if r == spec.one():
-        return 1
-    if r == -spec.one():
-        return -1
-    raise AssertionError("character power escaped {+1,-1}")  # pragma: no cover
-
-
-def smallest_nonresidue(spec: FieldSpec) -> FieldElement:
-    """First element with chi = -1 in the canonical enumeration order."""
+def smallest_nonresidue(spec: FieldSpec) -> int:
+    """Index of the first element with chi = -1 in the canonical order.  For
+    a prime field the index is the residue itself, tested by Euler's
+    criterion without building the tables."""
     if spec.q % 2 == 0:
         raise ValueError("no quadratic non-residues in even characteristic")
-    for a in spec.elements():
-        if a and quadratic_character(a) == -1:
-            return a
-    raise AssertionError("no non-residue found")  # pragma: no cover
+    if spec.k == 1:
+        p = spec.p
+        return next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    return int(np.argmax(op_tables(spec).chi == -1))
 
 
-def _subfield_order(spec: FieldSpec) -> int:
-    if spec.k % 2 != 0:
-        raise ValueError(f"GF({spec.q}) is not a quadratic extension")
-    return spec.p ** (spec.k // 2)
-
-
-def conjugate(a: FieldElement) -> FieldElement:
-    """The involution x -> x^q0 of GF(q0^2) fixing exactly GF(q0)."""
-    return a ** _subfield_order(a.spec)
-
-
-def conjugate_norm(a: FieldElement) -> FieldElement:
-    """Norm x -> x^(q0+1) from GF(q0^2) onto its GF(q0) subfield."""
-    return a ** (_subfield_order(a.spec) + 1)
-
-
-def frobenius(a: FieldElement) -> FieldElement:
-    """The field automorphism x -> x^p."""
-    return a**a.spec.p
-
-
-class OpArrays(NamedTuple):
-    """The tables of OpTables as read-only numpy arrays: int32 add, mul and
-    neg, and int8 chi (None for even orders)."""
+class OpTables(NamedTuple):
+    """Read-only operation tables in the canonical element order: add[i, j]
+    and mul[i, j] are the indices of the sum and product of elements i and
+    j, neg[i] that of -i (int32), and chi[i] the quadratic character (int8;
+    None for even orders)."""
 
     add: np.ndarray
     mul: np.ndarray
     neg: np.ndarray
     chi: np.ndarray | None
-
-
-class OpTables(NamedTuple):
-    """Index-based operation tables in the canonical element order.
-
-    add[i][j] and mul[i][j] give the index of the sum/product of elements i
-    and j; chi[i] is the quadratic character (None for even orders); neg[i]
-    the additive inverse.  `arrays` holds the same tables as numpy arrays,
-    which the geometry constructions gather through to evaluate forms and
-    polar lines.
-    """
-
-    add: tuple[tuple[int, ...], ...]
-    mul: tuple[tuple[int, ...], ...]
-    neg: tuple[int, ...]
-    chi: tuple[int, ...] | None
-    arrays: OpArrays
 
 
 @lru_cache(maxsize=None)
@@ -464,17 +227,11 @@ def op_tables(spec: FieldSpec) -> OpTables:
         chi = np.full(q, -1, dtype=np.int8)
         chi[np.diagonal(mul)] = 1
         chi[0] = 0
-    arrays = OpArrays(add.astype(np.int32), mul.astype(np.int32), neg.astype(np.int32), chi)
-    for t in arrays:
+    tables = OpTables(add.astype(np.int32), mul.astype(np.int32), neg.astype(np.int32), chi)
+    for t in tables:
         if t is not None:
             t.flags.writeable = False
-    return OpTables(
-        tuple(map(tuple, arrays.add.tolist())),
-        tuple(map(tuple, arrays.mul.tolist())),
-        tuple(arrays.neg.tolist()),
-        None if chi is None else tuple(chi.tolist()),
-        arrays,
-    )
+    return tables
 
 
 def modulus_table() -> dict[int, tuple[int, ...]]:

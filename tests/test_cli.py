@@ -67,6 +67,17 @@ def test_fields_large_prime_builds_no_tables(capsys, monkeypatch):
     assert json.loads(out)["smallestNonresidue"] == [2]
 
 
+def test_fields_output_pinned(capsys):
+    # every tabled order, then the largest prime under the cap: one digest
+    # over the stdouts in that order
+    digest = hashlib.sha256()
+    for q in [*gf.modulus_table(), 9973]:
+        code, out, _ = run(capsys, ["fields", "--q", str(q)])
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == "22c474a456c5a865325952b65e82a7607d80e22fb9220bd67ffa3df3bc4bc61e"
+
+
 def test_construct_roundtrip(capsys):
     code, out, _ = run(capsys, ["construct", "er", "--q", "3"])
     assert code == 0

@@ -1,4 +1,7 @@
-"""Projective points, polarity graphs, the Hermitian unital, character graphs."""
+"""Projective points, polarity graphs, the Hermitian unital, character graphs.
+
+Each build is compared against gf_reference's element arithmetic, an oracle
+independent of the numpy tables the builds gather through."""
 
 from __future__ import annotations
 
@@ -10,50 +13,29 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import gf_reference as ref
 from ramseyforge import geometry as geo
 from ramseyforge import graphcore as gc
-from ramseyforge.gf import (
-    modulus_table,
-    op_tables,
-    quadratic_character,
-    smallest_nonresidue,
-    spec_for,
-)
+from ramseyforge.gf import modulus_table, op_tables, spec_for
 
 
 # --- projective points -------------------------------------------------------
 
 
-def test_point_normalization():
-    F = spec_for(5)
-    a = geo.ProjectivePoint([F.element(2), F.element(4), F.element(1)])
-    b = geo.ProjectivePoint([F.element(4), F.element(3), F.element(2)])  # 2x scaled
-    assert a == b and hash(a) == hash(b)
-    assert a.coords[0] == F.one()
-    assert geo.ProjectivePoint(a.coords) == a  # idempotent
-    with pytest.raises(ValueError):
-        geo.ProjectivePoint([F.zero(), F.zero()])
-    with pytest.raises(ValueError):
-        geo.ProjectivePoint([F.one(), spec_for(3).one()])
-    with pytest.raises(ValueError):
-        geo.ProjectivePoint([])
-
-
 def test_pg_point_counts():
-    assert len(geo.enumerate_pg_points(1, spec_for(2))) == 3
-    assert len(geo.enumerate_pg_points(2, spec_for(3))) == 13
-    assert len(geo.enumerate_pg_points(2, spec_for(4))) == 21
-    pts = geo.enumerate_pg_points(3, spec_for(5))
-    assert len(pts) == (5**4 - 1) // 4 == len(set(pts))
+    assert len(geo._point_rows(1, spec_for(2))) == 3
+    assert len(geo._point_rows(2, spec_for(3))) == 13
+    assert len(geo._point_rows(2, spec_for(4))) == 21
+    rows = geo._point_rows(3, spec_for(5))
+    assert len(rows) == (5**4 - 1) // 4 == len(set(map(tuple, rows.tolist())))
 
 
 def test_pg_point_order():
     F = spec_for(9)
-    pts = geo.enumerate_pg_points(1, F)
-    keys = [tuple(F.index(c) for c in p.coords) for p in pts]
+    keys = [tuple(row) for row in geo._point_rows(1, F).tolist()]
     assert keys == sorted(keys)
-    assert keys[0] == (0, F.index(F.one()))  # point at infinity first
-    assert len(pts) == 10
+    assert keys[0] == (0, F.one)  # point at infinity first
+    assert len(keys) == 10
 
 
 @pytest.mark.parametrize("dim, q", [(1, 2), (1, 9), (2, 3), (2, 4), (2, 8), (3, 5), (4, 3)])
@@ -61,20 +43,24 @@ def test_pg_points_are_the_normalized_nonzero_vectors(dim, q):
     # every nonzero vector of GF(q)^(dim+1), scaled by the inverse of its
     # first nonzero coordinate, then sorted as index rows
     F = spec_for(q)
-    rows = set()
-    for vec in itertools.product(list(F.elements()), repeat=dim + 1):
-        pivot = next((c for c in vec if c), None)
-        if pivot is not None:
-            rows.add(tuple(F.index(c / pivot) for c in vec))
-    pts = geo.enumerate_pg_points(dim, F)
-    assert [tuple(F.index(c) for c in p.coords) for p in pts] == sorted(rows)
+    rows = {
+        tuple(map(ref.index, ref.normalized(vec)))
+        for vec in itertools.product(ref.elements(F), repeat=dim + 1)
+        if any(vec)
+    }
+    assert [tuple(row) for row in geo._point_rows(dim, F).tolist()] == sorted(rows)
 
 
 def test_pg_point_guards():
     with pytest.raises(ValueError):
-        geo.enumerate_pg_points(0, spec_for(3))
+        geo._point_rows(0, spec_for(3))
     with pytest.raises(ValueError):
-        geo.enumerate_pg_points(7, spec_for(8))  # (8^8-1)/7 > 1e6
+        geo._point_rows(7, spec_for(8))  # (8^8-1)/7 > 1e6
+
+
+def pg_points(dim, spec):
+    """The points of PG(dim, q) in vertex order, as element tuples."""
+    return ref.points(geo._point_rows(dim, spec), spec)
 
 
 # --- polarity graphs ---------------------------------------------------------
@@ -88,13 +74,8 @@ def test_polarity_fano():
 
 
 def absolute_points_by_objects(q):
-    """Reference: test u.u = 0 point by point in FieldElement arithmetic."""
-    spec = spec_for(q)
-    out = []
-    for i, pt in enumerate(geo.enumerate_pg_points(2, spec)):
-        if not sum((c * c for c in pt.coords), spec.zero()):
-            out.append(i)
-    return tuple(out)
+    """Reference: test u.u = 0 point by point in element arithmetic."""
+    return tuple(i for i, pt in enumerate(pg_points(2, spec_for(q))) if not sum(c * c for c in pt))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27])
@@ -116,12 +97,11 @@ def test_polarity_parameters(q):
 
 def test_polarity_matches_direct_arithmetic():
     # re-derive q=3 adjacency with plain field arithmetic (no index tables)
-    F = spec_for(3)
-    pts = geo.enumerate_pg_points(2, F)
+    pts = pg_points(2, spec_for(3))
     edges = []
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            dot = sum((a * b for a, b in zip(pts[i], pts[j])), F.zero())
+            dot = sum(a * b for a, b in zip(pts[i], pts[j]))
             if not dot:
                 edges.append((i, j))
     assert geo.polarity_graph(3) == gc.Graph.from_edges(len(pts), edges)
@@ -131,8 +111,7 @@ def form_values(spec, L, R, weights):
     """Reference, one row of L at a time: the index of Q(x, y) for each x
     in L and y in R, summing weights[j] x_j y_j through the field's index
     tables (the row-by-row form evaluation the constructions once ran)."""
-    t = op_tables(spec)
-    add, mul = np.array(t.add), np.array(t.mul)
+    add, mul, _, _ = op_tables(spec)
     for x in L:
         acc = np.zeros(len(R), dtype=np.int64)
         for j, w in enumerate(weights):
@@ -149,10 +128,9 @@ def polarity_rows_by_form(q, vertices):
     minus x itself."""
     spec = spec_for(q)
     P = geo._point_rows(2, spec)
-    one = spec.index(spec.one())
     return [
         packed(acc == 0) & ~(1 << v)
-        for v, acc in zip(vertices, form_values(spec, P[vertices], P, (one,) * 3))
+        for v, acc in zip(vertices, form_values(spec, P[vertices], P, (spec.one,) * 3))
     ]
 
 
@@ -212,20 +190,30 @@ def test_polarity_rejects():
 )
 def test_unital_design(q, v, b):
     D = geo.hermitian_unital(q)
-    assert D.v == v == q**3 + 1
-    assert len(D.blocks) == b == q * q * (q * q - q + 1)
-    assert D.block_size == q + 1
-    assert D.point_degree == q * q
-    assert D.is_steiner()
+    assert D.n == v == q**3 + 1
+    assert len(D.edges) == b == q * q * (q * q - q + 1)
+    assert D.r == q + 1
+    assert D.regular_degree() == q * q
+    # a 2-design: the blocks, pairwise sharing at most one point, cover every pair
+    assert len({p for e in D.edges for p in itertools.combinations(e, 2)}) == v * (v - 1) // 2
+
+
+def unital_points(q):
+    """Reference: the points of PG(2, q^2) whose norms x^(q+1) sum to zero,
+    taken straight from element powers."""
+    return [pt for pt in pg_points(2, spec_for(q * q)) if not sum(c ** (q + 1) for c in pt)]
 
 
 def test_unital_points_satisfy_form():
-    # independent re-check: norms really sum to zero, via x^(q+1) directly
+    # independent re-check: the curve has the unital's points, and each
+    # block lies on the line through its first two points
     D = geo.hermitian_unital(3)
-    F = spec_for(9)
-    for pt in D.points:
-        s = sum((c**4 for c in pt.coords), F.zero())
-        assert not s
+    pts = unital_points(3)
+    assert len(pts) == D.n
+    for block in D.edges:
+        (x0, x1, x2), (y0, y1, y2) = pts[block[0]], pts[block[1]]
+        line = (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0)
+        assert all(not sum(a * b for a, b in zip(line, pts[i])) for i in block)
 
 
 @pytest.mark.parametrize("q,n,r,d", [(2, 12, 4, 3), (3, 63, 9, 4)])
@@ -242,17 +230,16 @@ def test_unital_hypergraph_duality():
     # hyperedge p contains block b iff block b contains point p
     for p, e in enumerate(H.edges):
         for b in e:
-            assert p in D.blocks[b]
+            assert p in D.edges[b]
 
 
 def unital_blocks_by_form(q):
     """Reference: one line of PG(2, q^2) at a time, its points on the curve."""
     spec = spec_for(q * q)
     P = geo._point_rows(2, spec)
-    curve = P[[not sum((c ** (q + 1) for c in pt), spec.zero()) for pt in geo.enumerate_pg_points(2, spec)]]
-    one = spec.index(spec.one())
+    curve = P[[not sum(c ** (q + 1) for c in pt) for pt in pg_points(2, spec)]]
     blocks = []
-    for acc in form_values(spec, P, curve, (one,) * 3):
+    for acc in form_values(spec, P, curve, (spec.one,) * 3):
         hits = tuple(np.flatnonzero(acc == 0).tolist())
         assert len(hits) in (1, q + 1)
         if len(hits) > 1:
@@ -262,7 +249,7 @@ def unital_blocks_by_form(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_unital_blocks_match_line_by_line_evaluation(q):
-    assert geo.hermitian_unital(q).blocks == unital_blocks_by_form(q)
+    assert geo.hermitian_unital(q).edges == unital_blocks_by_form(q)
 
 
 def test_unital_rejects_a_line_meeting_the_curve_oddly(monkeypatch):
@@ -284,28 +271,6 @@ def test_unital_rejects():
         geo.hermitian_unital(6)
     with pytest.raises(ValueError):
         geo.hermitian_unital(16)
-
-
-def test_block_design_validation():
-    F = spec_for(3)
-    pts = geo.enumerate_pg_points(1, F)
-    with pytest.raises(ValueError):
-        geo.BlockDesign(pts, [(0, 1, 2), (0, 1, 3)])  # pair in two blocks
-    with pytest.raises(ValueError):
-        geo.BlockDesign(pts, [(0, 0, 1)])
-    with pytest.raises(ValueError):
-        geo.BlockDesign(pts, [(0, 1, 9)])
-    with pytest.raises(ValueError):
-        geo.BlockDesign(pts, [(0, 1), (2, 3), (0, 2)])  # mixed point degrees
-    with pytest.raises(ValueError):
-        geo.BlockDesign(pts, [(0, 1), (0, 2, 3)])  # mixed block sizes
-    with pytest.raises(ValueError):
-        geo.BlockDesign(pts, [])  # no blocks
-    with pytest.raises(ValueError):
-        geo.BlockDesign(pts, [()])  # empty block
-    D = geo.BlockDesign(pts, [(0, 1), (2, 3)])
-    assert D.block_size == 2 and D.point_degree == 1 and not D.is_steiner()
-    assert isinstance(D, gc.LinearHypergraph) and D.edges == D.blocks == ((0, 1), (2, 3))
 
 
 # --- character graphs --------------------------------------------------------
@@ -367,22 +332,23 @@ def test_bip_neighborhoods():
         assert gc.is_pattern_free(N, gc.ForbiddenPattern.clique(3)) == (True, None)
 
 
+def least_nonresidue(spec):
+    """Reference: the first element with chi = -1, in element arithmetic."""
+    return next(a for a in ref.elements(spec) if ref.quadratic_character(a) == -1)
+
+
 def test_bip_matches_direct_arithmetic():
     # re-derive q=3, s=2 both variants with plain field arithmetic
     F = spec_for(3)
-    xi = smallest_nonresidue(F)
-    pts = geo.enumerate_pg_points(2, F)
+    xi = least_nonresidue(F)
 
     def Q(x, y):
-        acc = xi * x[0] * y[0]
-        for a, b in zip(x.coords[1:], y.coords[1:]):
-            acc = acc + a * b
-        return acc
+        return xi * x[0] * y[0] + sum(a * b for a, b in zip(x[1:], y[1:]))
 
-    verts = [p for p in pts if quadratic_character(Q(p, p)) == 1]
+    verts = [p for p in pg_points(2, F) if ref.quadratic_character(Q(p, p)) == 1]
     assert len(verts) == geo.bip_graph(3, 2).n == 6
     for variant, rule in (
-        ("canonical", lambda v: quadratic_character(v) == 1),
+        ("canonical", lambda v: ref.quadratic_character(v) == 1),
         ("symmetrized", lambda v: not v),
     ):
         edges = [
@@ -398,7 +364,7 @@ def test_bip_matches_direct_arithmetic():
 def test_bip_rows_match_form_evaluation(q, s):
     spec = spec_for(q)
     _, V, weights = geo._square_type(q, s)
-    chi = np.array(op_tables(spec).chi)
+    chi = op_tables(spec).chi
     canonical, symmetrized = [], []
     for v, acc in enumerate(form_values(spec, V, V, weights)):
         canonical.append(packed(chi[acc] == 1) & ~(1 << v))
@@ -408,14 +374,14 @@ def test_bip_rows_match_form_evaluation(q, s):
 
 
 def test_bip_vertex_points_agree():
-    pts = geo.bip_vertex_points(5, 2)
-    G = geo.bip_graph(5, 2)
-    assert len(pts) == G.n
+    # the vertices are exactly the points x of PG(2, 5), in point order, with
+    # chi(a x0^2 + x1^2 + x2^2) = 1 for the least non-residue a
     F = spec_for(5)
-    xi = smallest_nonresidue(F)
-    for p in pts:
-        val = xi * p[0] * p[0] + p[1] * p[1] + p[2] * p[2]
-        assert quadratic_character(val) == 1
+    xi = least_nonresidue(F)
+    _, V, _ = geo._square_type(5, 2)
+    pts = pg_points(2, F)
+    square = [p for p in pts if ref.quadratic_character(xi * p[0] * p[0] + p[1] * p[1] + p[2] * p[2]) == 1]
+    assert ref.points(V, F) == square and len(square) == geo.bip_graph(5, 2).n
 
 
 def test_bip_rejects():
@@ -440,11 +406,10 @@ def reference_reflections(points, weights) -> list[tuple[int, ...]]:
     """Every reflection x -> x - 2 B(x, v) / B(v, v) v in an anisotropic
     point v, replayed in field-element arithmetic on the point objects."""
     index = {p: i for i, p in enumerate(points)}
-    zero = points[0].spec.zero()
-    two = points[0].spec.one() + points[0].spec.one()
+    two = ref.element(points[0][0].spec, 2)
 
     def form(x, y):
-        return sum((w * a * b for w, a, b in zip(weights, x, y)), zero)
+        return sum(w * a * b for w, a, b in zip(weights, x, y))
 
     perms = []
     for v in points:
@@ -453,7 +418,7 @@ def reference_reflections(points, weights) -> list[tuple[int, ...]]:
         images = []
         for x in points:
             scale = two * form(x, v) / form(v, v)
-            images.append(index[geo.ProjectivePoint([a - scale * b for a, b in zip(x, v)])])
+            images.append(index[ref.normalized([a - scale * b for a, b in zip(x, v)])])
         perms.append(tuple(images))
     return perms
 
@@ -476,13 +441,14 @@ def test_kept_reflections_have_the_orbits_of_all(family, q, s):
     # the few reflections kept are automorphisms, and at both levels of
     # orbital branching their orbits are those of every reflection
     spec = spec_for(q)
-    one = spec.one()
+    one = ref.element(spec, 1)
     if family == "er":
         G, kept = geo.polarity_graph(q), geo.polarity_reflections(q)
-        points, weights = geo.enumerate_pg_points(2, spec), (one, one, one)
+        points, weights = pg_points(2, spec), (one, one, one)
     else:
         G, kept = geo.bip_graph(q, s, "symmetrized"), geo.bip_reflections(q, s)
-        points, weights = geo.bip_vertex_points(q, s), (smallest_nonresidue(spec),) + (one,) * s
+        points = ref.points(geo._square_type(q, s)[1], spec)
+        weights = (least_nonresidue(spec),) + (one,) * s
     everything = reference_reflections(points, weights)
     assert set(kept) <= set(everything) and len(kept) < len(everything)
     gc.Automorphisms(G, everything)

@@ -1,19 +1,28 @@
-"""Field arithmetic: axioms, character, norm, and the fixed modulus table."""
+"""Field tables: axioms, character, norm, and the fixed modulus table."""
 
 from __future__ import annotations
 
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gf_reference as ref
 from ramseyforge import gf
+from ramseyforge.geometry import _powers
 
 
-SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
+SMALL_ORDERS = [q for q in gf.modulus_table() if q <= 27]
 ODD_ORDERS_49 = [3, 5, 7, 9, 11, 13, 25, 27, 49]
+
+
+def tables(q):
+    """GF(q)'s spec and its add, mul, neg and chi tables."""
+    spec = gf.spec_for(q)
+    return (spec, *gf.op_tables(spec))
 
 
 def test_modulus_table_entries_are_irreducible():
@@ -36,6 +45,16 @@ def test_parse_order():
     assert gf.parse_order("3^2") == 9
     assert gf.parse_order("13") == 13
     assert gf.parse_order(49) == 49
+    assert gf.parse_order(" 7 ^ 2 ") == 49
+
+
+@pytest.mark.parametrize("text", ["-2^2", "-3^2", "+3^2", "3^+2", "3^-2", "3^2.0", "3^", "^2", "3^^2"])
+def test_parse_order_rejects_signed_or_malformed_powers(text):
+    # a signed base once gave (-3)^2 = 9, and GF(9) for "-3^2"
+    with pytest.raises(ValueError):
+        gf.parse_order(text)
+    with pytest.raises(ValueError):
+        gf.spec_for(text)
 
 
 def test_order_cap_rejects_before_factoring():
@@ -57,211 +76,145 @@ def test_order_cap_rejects_before_factoring():
 
 @pytest.mark.parametrize("q", SMALL_ORDERS)
 def test_field_axioms_exhaustive(q):
-    spec = gf.spec_for(q)
-    elems = list(spec.elements())
-    assert len(elems) == q
-    assert len(set(elems)) == q
-    zero, one = spec.zero(), spec.one()
-    for a in elems:
-        assert a + zero == a
-        assert a * one == a
-        assert a - a == zero
-        assert a * zero == zero
-        if a:
-            assert a * a.inverse() == one
-            assert a / a == one
-    # associativity/commutativity/distributivity on all pairs, sampled triples
-    for a in elems:
-        for b in elems:
-            assert a + b == b + a
-            assert a * b == b * a
-    for a in elems[:: max(1, q // 5)]:
-        for b in elems[:: max(1, q // 5)]:
-            for c in elems[:: max(1, q // 5)]:
-                assert (a + b) + c == a + (b + c)
-                assert (a * b) * c == a * (b * c)
-                assert a * (b + c) == a * b + a * c
-
-
-def test_mixed_spec_arithmetic_rejected():
-    a = gf.spec_for(7).element(3)
-    b = gf.spec_for(5).element(3)
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
-        gf.field_arith(a, b, "mul")
-
-
-def test_division_by_zero():
-    spec = gf.spec_for(9)
-    with pytest.raises(ZeroDivisionError):
-        spec.one() / spec.zero()
-    with pytest.raises(ZeroDivisionError):
-        spec.zero().inverse()
-
-
-def test_field_arith_kinds():
-    spec = gf.spec_for(7)
-    a, b = spec.element(3), spec.element(5)
-    assert gf.field_arith(a, b, "add") == spec.element(1)
-    assert gf.field_arith(a, b, "sub") == spec.element(5)
-    assert gf.field_arith(a, b, "mul") == spec.one()  # 3*5 = 15 = 1 (mod 7)
-    assert gf.field_arith(a, b, "div") == a * b.inverse()
-    assert gf.field_arith(a, 6, "pow") == spec.one()  # Fermat
-    with pytest.raises(ValueError):
-        gf.field_arith(a, b, "xor")
-    with pytest.raises(ValueError):
-        gf.field_arith(a, b, "pow")
+    # on the tables the builds gather through: every pair, sampled triples
+    spec, add, mul, neg, _ = tables(q)
+    idx = np.arange(q)
+    zero, one = 0, spec.one
+    assert (add[:, zero] == idx).all() and (mul[:, one] == idx).all()
+    assert (mul[:, zero] == zero).all()
+    assert (add[idx, neg] == zero).all()
+    assert (add == add.T).all() and (mul == mul.T).all()
+    # each row of add, and each nonzero row of mul off zero, is a permutation
+    assert (np.sort(add, axis=1) == idx).all()
+    assert (np.sort(mul[1:, 1:], axis=1) == idx[1:]).all()
+    assert ((mul[1:] == one).sum(axis=1) == 1).all()  # one inverse each
+    s = idx[:: max(1, q // 5)]
+    a, b, c = (x.ravel() for x in np.meshgrid(s, s, s, indexing="ij"))
+    assert (add[add[a, b], c] == add[a, add[b, c]]).all()
+    assert (mul[mul[a, b], c] == mul[a, mul[b, c]]).all()
+    assert (mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]).all()
 
 
 def test_gf9_multiplication_example():
-    spec = gf.spec_for(9)  # modulus x^2 + 1
-    x = spec.element((0, 1))
-    assert x * x == spec.element(2)  # x^2 = -1 = 2
-
-
-def test_pow_negative_exponent():
-    spec = gf.spec_for(25)
-    a = spec.element((3, 4))
-    assert a**-1 == a.inverse()
-    assert a**-3 == (a**3).inverse()
-    assert a**0 == spec.one()
-    # every nonzero element of every tabled extension field, 844 in all
-    for q in gf.MODULI:
-        spec = gf.spec_for(q)
-        one = spec.one()
-        for a in spec.elements():
-            if a:
-                assert a * a.inverse() == one
+    spec, _, mul, neg, _ = tables(9)  # modulus x^2 + 1
+    x = 1  # coefficients (0, 1)
+    assert mul[x, x] == neg[spec.one] == 2 * spec.one  # x^2 = -1 = 2
 
 
 @pytest.mark.parametrize("q", ODD_ORDERS_49)
 def test_character_counts(q):
-    spec = gf.spec_for(q)
-    chis = [gf.quadratic_character(a) for a in spec.elements()]
-    assert chis.count(0) == 1
-    assert chis.count(1) == (q - 1) // 2
-    assert chis.count(-1) == (q - 1) // 2
+    chi = tables(q)[4].tolist()
+    assert chi.count(0) == 1 and chi[0] == 0
+    assert chi.count(1) == (q - 1) // 2
+    assert chi.count(-1) == (q - 1) // 2
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27])
 def test_character_multiplicative(q):
-    spec = gf.spec_for(q)
-    elems = list(spec.elements())
-    for a in elems:
-        for b in elems:
-            assert gf.quadratic_character(a * b) == gf.quadratic_character(
-                a
-            ) * gf.quadratic_character(b)
+    _, _, mul, _, chi = tables(q)
+    assert (chi[mul] == chi[:, None] * chi[None, :]).all()
 
 
 def test_character_zero_and_squares_mod7():
-    spec = gf.spec_for(7)
-    assert gf.quadratic_character(spec.zero()) == 0
-    squares = {i for i in range(1, 7) if gf.quadratic_character(spec.element(i)) == 1}
-    assert squares == {1, 2, 4}
+    chi = tables(7)[4]
+    assert chi[0] == 0
+    assert set(np.flatnonzero(chi == 1).tolist()) == {1, 2, 4}
 
 
 def test_character_rejects_even_order():
-    with pytest.raises(ValueError):
-        gf.quadratic_character(gf.spec_for(4).one())
+    assert gf.op_tables(gf.spec_for(4)).chi is None
     with pytest.raises(ValueError):
         gf.smallest_nonresidue(gf.spec_for(8))
 
 
 @pytest.mark.parametrize("q,expected", [(3, 2), (5, 2), (7, 3), (11, 2), (13, 2)])
 def test_smallest_nonresidue_prime_fields(q, expected):
-    spec = gf.spec_for(q)
-    assert gf.smallest_nonresidue(spec) == spec.element(expected)
+    assert gf.smallest_nonresidue(gf.spec_for(q)) == expected
 
 
 def test_smallest_nonresidue_gf9():
     spec = gf.spec_for(9)
     nr = gf.smallest_nonresidue(spec)
-    assert gf.quadratic_character(nr) == -1
-    # canonical order: 0, 1, 2, x, 1+x, ... ; 1 and 2 are squares, 1+x is not
-    assert nr == spec.element((1, 1))
+    # canonical order: 0, x, 2x, 1, 1+x, ... ; x, 2x and 1 are squares, 1+x is not
+    assert ref.element_at(spec, nr).coeffs == (1, 1) and nr == 4
+    assert gf.op_tables(spec).chi[nr] == -1
+
+
+def test_smallest_nonresidue_matches_element_arithmetic():
+    # the prime fields take Euler's criterion on the integers, the others
+    # the tables; both against the first chi = -1 in element arithmetic
+    for q in gf.modulus_table():
+        spec = gf.spec_for(q)
+        if q % 2:
+            first = next(a for a in ref.elements(spec) if ref.quadratic_character(a) == -1)
+            assert gf.smallest_nonresidue(spec) == ref.index(first)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 25, 27])
 def test_frobenius_is_automorphism(q):
-    spec = gf.spec_for(q)
-    elems = list(spec.elements())
-    images = {gf.frobenius(a) for a in elems}
-    assert len(images) == q
-    for a in elems:
-        for b in elems:
-            assert gf.frobenius(a + b) == gf.frobenius(a) + gf.frobenius(b)
-            assert gf.frobenius(a * b) == gf.frobenius(a) * gf.frobenius(b)
+    # x -> x^p on the tables: a bijection that respects sums and products
+    spec, add, mul, _, _ = tables(q)
+    f = _powers(mul, spec.p, spec.one)
+    assert len(set(f.tolist())) == q
+    assert (f[add] == add[f[:, None], f[None, :]]).all()
+    assert (f[mul] == mul[f[:, None], f[None, :]]).all()
 
 
 def test_norm_gf4():
-    spec = gf.spec_for(4)
-    w = spec.element((0, 1))
-    assert gf.conjugate_norm(w) == spec.one()  # w * w^2 = w^3 = 1
-    assert gf.conjugate_norm(spec.zero()) == spec.zero()
-    assert gf.conjugate_norm(spec.one()) == spec.one()
+    spec, _, mul, _, _ = tables(4)
+    norm = _powers(mul, 3, spec.one)  # x^(2+1), as hermitian_unital takes it
+    w = 1  # coefficients (0, 1)
+    assert norm[w] == spec.one  # w * w^2 = w^3 = 1
+    assert norm[0] == 0 and norm[spec.one] == spec.one
 
 
 def test_norm_fibers_gf9():
-    spec = gf.spec_for(9)
-    fibers: dict[gf.FieldElement, int] = {}
-    for a in spec.elements():
-        if a:
-            n = gf.conjugate_norm(a)
-            fibers[n] = fibers.get(n, 0) + 1
+    spec, _, mul, _, _ = tables(9)
+    norm = _powers(mul, 4, spec.one)
+    fibers = np.bincount(norm[1:], minlength=9)
     # norm maps GF(9)* onto GF(3)* with fibers of size q+1 = 4
-    assert set(fibers.values()) == {4}
-    assert len(fibers) == 2
-    for n in fibers:
-        assert gf.frobenius(n) == n  # lands in the prime subfield
+    assert sorted(fibers[fibers > 0].tolist()) == [4, 4]
+    for n in np.flatnonzero(fibers):
+        assert _powers(mul, 3, spec.one)[n] == n  # lands in the prime subfield
 
 
 def test_conjugate_is_involution_fixing_subfield():
-    spec = gf.spec_for(25)
-    sub = [a for a in spec.elements() if gf.conjugate(a) == a]
-    assert len(sub) == 5
-    for a in spec.elements():
-        assert gf.conjugate(gf.conjugate(a)) == a
-        assert gf.conjugate_norm(a) == a * gf.conjugate(a)
-
-
-def test_conjugate_norm_rejects_odd_degree():
-    with pytest.raises(ValueError):
-        gf.conjugate_norm(gf.spec_for(27).one())
-    with pytest.raises(ValueError):
-        gf.conjugate_norm(gf.spec_for(7).one())
+    spec, _, mul, _, _ = tables(25)
+    conj = _powers(mul, 5, spec.one)
+    assert (conj != np.arange(25)).sum() == 20  # it fixes exactly GF(5)
+    assert (conj[conj] == np.arange(25)).all()
+    assert (_powers(mul, 6, spec.one) == mul[np.arange(25), conj]).all()
 
 
 def test_canonical_order_and_index():
-    spec = gf.spec_for(27)
-    elems = list(spec.elements())
-    assert [spec.index(a) for a in elems] == list(range(27))
-    coeff_tuples = [a.coeffs for a in elems]
-    assert coeff_tuples == sorted(coeff_tuples)
+    # element i has the base-p digits of i, leading digit first, as its
+    # coefficients: one is q // p, and sums add digits mod p
+    spec, add, mul, _, _ = tables(27)
+    digits = np.arange(27)[:, None] // np.array([9, 3, 1]) % 3
+    assert spec.one == 9 and (mul[9] == np.arange(27)).all()
+    assert (add == ((digits[:, None] + digits[None, :]) % 3) @ [9, 3, 1]).all()
+    elems = ref.elements(spec)
+    assert [ref.index(a) for a in elems] == list(range(27))
+    assert [a.coeffs for a in elems] == sorted(a.coeffs for a in elems)
 
 
 def _check_tables(spec, pairs):
     """op_tables against element arithmetic on the given index pairs."""
-    tabs = gf.op_tables(spec)
-    elems = list(spec.elements())
-    assert tabs.neg == tuple(spec.index(-a) for a in elems)
+    add, mul, neg, chi = gf.op_tables(spec)
+    elems = ref.elements(spec)
+    assert neg.tolist() == [ref.index(-a) for a in elems]
     if spec.q % 2:
-        assert tabs.chi == tuple(gf.quadratic_character(a) for a in elems)
+        assert chi.tolist() == [ref.quadratic_character(a) for a in elems]
     else:
-        assert tabs.chi is None
+        assert chi is None
     for i, j in pairs:
         a, b = elems[i], elems[j]
-        assert tabs.add[i][j] == spec.index(a + b)
-        assert tabs.mul[i][j] == spec.index(a * b)
-    arrays = tabs.arrays
-    assert arrays.add.tolist() == list(map(list, tabs.add))
-    assert arrays.mul.tolist() == list(map(list, tabs.mul))
-    assert arrays.neg.tolist() == list(tabs.neg)
-    assert (arrays.chi is None) == (tabs.chi is None)
-    if tabs.chi is not None:
-        assert arrays.chi.tolist() == list(tabs.chi)
-    assert not any(t.flags.writeable for t in arrays if t is not None)
+        assert add[i, j] == ref.index(a + b)
+        assert mul[i, j] == ref.index(a * b)
+    assert ((mul[1:] == spec.one).sum(axis=1) == 1).all()  # one inverse each
+    assert [t.dtype for t in (add, mul, neg)] == [np.int32] * 3
+    assert chi is None or chi.dtype == np.int8
+    assert not any(t.flags.writeable for t in (add, mul, neg, chi) if t is not None)
 
 
 def test_op_tables_consistency():
@@ -279,35 +232,23 @@ def test_op_tables_sampled_pairs(q):
     _check_tables(gf.spec_for(q), [(rng.randrange(q), rng.randrange(q)) for _ in range(5000)])
 
 
-def test_op_tables_use_no_element_arithmetic(monkeypatch):
-    spec = gf.spec_for(81)
-    expected = gf.op_tables(spec)
-
-    def refuse(*args):
-        raise AssertionError("field element arithmetic in op_tables")
-
-    for name in ("__add__", "__mul__", "__pow__", "__neg__", "__sub__"):
-        monkeypatch.setattr(gf.FieldElement, name, refuse)
-    got = gf.op_tables.__wrapped__(spec)  # bypass the cache
-    assert got[:4] == expected[:4]
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 48), st.integers(0, 48), st.integers(0, 48))
-def test_axioms_gf49_random(i, j, k):
-    spec = gf.spec_for(49)
-    a, b, c = spec.element_at(i), spec.element_at(j), spec.element_at(k)
-    assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert a - b == a + (-b)
+def test_axioms_gf49_random(a, b, c):
+    spec, add, mul, neg, _ = tables(49)
+    assert add[add[a, b], c] == add[a, add[b, c]]
+    assert mul[mul[a, b], c] == mul[a, mul[b, c]]
+    assert mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]
+    assert add[add[a, neg[b]], b] == a
     if b:
-        assert (a / b) * b == a
+        inverse = np.flatnonzero(mul[b] == spec.one)[0]
+        assert mul[mul[a, inverse], b] == a
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 80), st.integers(-20, 20), st.integers(-20, 20))
-def test_pow_homomorphism_gf81(i, e1, e2):
-    spec = gf.spec_for(81)
-    a = spec.element_at(i)
-    assert a ** (e1 + e2) == (a**e1) * (a**e2)
+@given(st.integers(1, 80), st.integers(0, 40), st.integers(0, 40))
+def test_pow_homomorphism_gf81(a, e1, e2):
+    spec, _, mul, _, _ = tables(81)
+    power = lambda e: _powers(mul, e, spec.one)[a]  # noqa: E731
+    assert power(e1 + e2) == mul[power(e1), power(e2)]
+    assert power(80) == spec.one  # Lagrange: the nonzero elements have order 80

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from ramseyforge import geometry as geo
 from ramseyforge import graphcore as gc
-from ramseyforge.gf import spec_for
 from ramseyforge.graphcore import ForbiddenPattern, Graph, LinearHypergraph
 
 
@@ -268,6 +267,9 @@ def test_hypergraph_validation():
         LinearHypergraph(3, [(0, 1, 1)])  # repeated vertex
     with pytest.raises(ValueError, match=r"vertex pair \(1, 2\) lies in hyperedges 0 and 2"):
         LinearHypergraph(5, [(0, 1, 2), (0, 3, 4), (4, 2, 1)])
+    for bad in ([(0, 1, 9)], [], [()]):  # out of range, no hyperedge, an empty one
+        with pytest.raises(ValueError):
+            LinearHypergraph(4, bad)
     H = LinearHypergraph(5, [(0, 1, 2), (2, 3, 4)])
     assert H.r == 3 and H.degrees == (1, 1, 2, 1, 1)
     assert not H.is_regular()
@@ -1033,6 +1035,10 @@ def test_linearity_matches_pair_count_oracle(case):
         H = LinearHypergraph(n, edges)
         every_pair = {p for e in edges for p in itertools.combinations(e, 2)}
         assert gc.shadow_graph(H) == Graph.from_edges(n, every_pair)
+        degrees = Counter(v for e in edges for v in e)
+        assert H.degrees == tuple(degrees[v] for v in range(n))
+        assert H.is_regular() == (len(set(H.degrees)) == 1)
+        assert H.edges == tuple(tuple(sorted(e)) for e in edges)
         return
     with pytest.raises(ValueError) as info:
         LinearHypergraph(n, edges)
@@ -1042,24 +1048,6 @@ def test_linearity_matches_pair_count_oracle(case):
     ).groups())
     assert (u, v) in repeated and i < j
     assert {u, v} <= set(edges[i]) and {u, v} <= set(edges[j])
-
-
-PG1_8 = geo.enumerate_pg_points(1, spec_for(8))  # 9 points
-
-
-@settings(max_examples=400, deadline=None)
-@given(uniform_hypergraphs())
-def test_block_design_matches_pair_count_oracle(case):
-    n, blocks = case
-    degrees = Counter(v for b in blocks for v in b)
-    regular = len({degrees[v] for v in range(n)}) == 1
-    if repeated_pairs(blocks) or not regular:
-        with pytest.raises(ValueError):
-            geo.BlockDesign(PG1_8[:n], blocks)
-        return
-    D = geo.BlockDesign(PG1_8[:n], blocks)
-    assert D.v == n and D.blocks == tuple(tuple(sorted(b)) for b in blocks)
-    assert D.block_size == len(blocks[0]) and D.point_degree == degrees[0]
 
 
 @st.composite
