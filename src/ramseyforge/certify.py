@@ -271,13 +271,18 @@ def verify_certificate(
     if sub is G and budget is None:
         symmetry = family_symmetry(cert.family, cert.params, G)
     try:
-        free, _ = is_pattern_free(sub, F, budget)
-        alpha_ok = find_independent_set(sub, cert.t, budget, symmetry) is None
+        free, copy = is_pattern_free(sub, F, budget)
+        found = find_independent_set(sub, cert.t, budget, symmetry)
     except UndecidedError:
         return VerificationResult("UNVERIFIED", None, None, True, "exact checks exceeded budget")
+    alpha_ok = found is None
     if free and alpha_ok:
         return VerificationResult("VALID", True, True, True, f"claim {cert.claim()} replayed")
-    return VerificationResult("INVALID", free, alpha_ok, True, "replay checks failed")
+    # each failed check with its witness, as vertices of the rebuilt graph
+    failed = [] if free else [f"{F.name} found: {[alive[v] for v in copy]}"]
+    if not alpha_ok:
+        failed.append(f"independent set of size t = {cert.t} found: {[alive[v] for v in found]}")
+    return VerificationResult("INVALID", free, alpha_ok, True, "; ".join(failed))
 
 
 # --- pipelines ----------------------------------------------------------------

@@ -100,10 +100,21 @@ def _load_graph(path: str, run: _Run):
 
 
 def _budget(args) -> int | None:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("RAMSEYFORGE_BUDGET")
-    return int(env) if env else None
+    """--budget, else RAMSEYFORGE_BUDGET, else None (no limit); a negative
+    or non-integer value is a usage error, not an exhausted budget."""
+    budget, source = args.budget, "--budget"
+    if budget is None:
+        env = os.environ.get("RAMSEYFORGE_BUDGET")
+        if not env:
+            return None
+        source = "RAMSEYFORGE_BUDGET"
+        try:
+            budget = int(env)
+        except ValueError:
+            raise ValueError(f"RAMSEYFORGE_BUDGET must be an integer >= 0, got {env!r}") from None
+    if budget < 0:
+        raise ValueError(f"{source} must be >= 0, got {budget}")
+    return budget
 
 
 # --- subcommands --------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""(alpha, m)-pseudorandomness, fingerprint compression of independent
-sets, and the independent-set count bounds.
+"""(alpha, m)-pseudorandomness: parameters from the mixing lemma, and
+exhaustive or sampled checks of them.
 
 A graph is (alpha, m)-pseudorandom when every vertex subset X with
-|X| >= m spans at least alpha * C(|X|, 2) edges.  The fingerprint procedure
-compresses an independent set to at most s picked vertices plus its trace
-on a remainder of at most m vertices, which is what drives the
-C(n,s) * C(m, t-s) count bound.
+|X| >= m spans at least alpha * C(|X|, 2) edges.  These are the parameters
+behind the container count C(n, s) * C(m, t - s) of independent t-sets; the
+certificates here decide alpha < t by exact search instead, so the count
+itself is not computed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .graphcore import Graph
 from .spectral import SpectralReport, spectrum
@@ -151,109 +151,3 @@ def exact_alpha_m(G: Graph, m: int) -> Fraction:
     pairs = math.comb(m, 2)
     edges, _ = _sparse_m_subset(G, m, pairs + 1, first=False)
     return Fraction(edges, pairs)
-
-
-# -- fingerprints -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    """Picked vertices in pick order, plus the surviving vertex set."""
-
-    vertices: tuple[int, ...]
-    remainder: tuple[int, ...]
-
-
-def fingerprint(G: Graph, I: Iterable[int], s: int, m: int) -> Fingerprint:
-    """Compress an independent set: repeatedly order the current graph by
-    non-increasing degree (ties by vertex index), pick the first vertex of I
-    in that order, and delete its closed neighborhood.  Stops once at most m
-    vertices remain or s vertices are picked.
-
-    When G is (alpha, m)-pseudorandom and exp(-alpha s) n <= m, the
-    remainder is guaranteed to reach size <= m; callers that know alpha
-    re-check this.  Unpicked vertices of I are never deleted (I is
-    independent), so I = picked union (I intersect remainder).
-    """
-    iset = frozenset(I)
-    if not all(isinstance(v, int) and 0 <= v < G.n for v in iset):
-        raise ValueError("independent set out of range")
-    imask = 0
-    for v in iset:
-        imask |= 1 << v
-    if G.subgraph_edge_count(imask) != 0:
-        raise ValueError("input set is not independent")
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-
-    rows = G.rows
-    alive = (1 << G.n) - 1
-    remaining = sorted(iset)
-    picked: list[int] = []
-    while alive.bit_count() > m and len(picked) < s and remaining:
-        # first I-vertex in the degree ordering = max degree, ties by index
-        pick = min(remaining, key=lambda v: (-(rows[v] & alive).bit_count(), v))
-        picked.append(pick)
-        remaining.remove(pick)
-        alive &= ~(rows[pick] | 1 << pick)
-    remainder = []
-    while alive:
-        v = (alive & -alive).bit_length() - 1
-        alive ^= 1 << v
-        remainder.append(v)
-    return Fingerprint(tuple(picked), tuple(remainder))
-
-
-def reconstruct_independent_set(
-    G: Graph, fp: Fingerprint, tail: Iterable[int], s: int, m: int
-) -> tuple[int, ...]:
-    """Rebuild I from (fingerprint, I intersect remainder) and verify the
-    pair replays to the same fingerprint."""
-    tail = tuple(sorted(set(tail)))
-    if not set(tail) <= set(fp.remainder):
-        raise ValueError("tail is not contained in the remainder")
-    I = tuple(sorted(set(fp.vertices) | set(tail)))
-    if fingerprint(G, I, s, m) != fp:
-        raise ValueError("pair does not replay to the same fingerprint")
-    return I
-
-
-# -- count bounds --------------------------------------------------------------
-
-
-def count_bound(n: int, m: int, s: int, t: int) -> int:
-    """C(n, s) * C(m, t - s): the exact container bound on the number of
-    independent sets of size t."""
-    if not n >= m >= t >= s >= 1:
-        raise ValueError("need n >= m >= t >= s >= 1")
-    return math.comb(n, s) * math.comb(m, t - s)
-
-
-class NdlBound(NamedTuple):
-    value: float
-    base: float
-    threshold: float
-    applicable: bool
-
-
-def count_bound_ndl(n: int, d: float, lam: float, t: int) -> NdlBound:
-    """Spectral count bound (4 e^2 lambda / ln^2 n)^t, valid once
-    t >= 2 n (ln n)^2 / d.  The threshold is reported and `applicable`
-    says whether t clears it; at desk scale it usually does not, and the
-    value must then not be quoted as a bound."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if d <= 0 or lam < 0:
-        raise ValueError("need d > 0 and lambda >= 0")
-    if t < 1:
-        raise ValueError("need t >= 1")
-    log_n = math.log(n)
-    base = 4.0 * math.e**2 * lam / log_n**2
-    threshold = 2.0 * n * log_n**2 / d
-    try:
-        value = base**t
-    except OverflowError:
-        value = math.inf
-    return NdlBound(value, base, threshold, t >= threshold)

@@ -1,6 +1,5 @@
 """Graph and linear-hypergraph core: exact forbidden-subgraph checkers, an
-exact independence-number solver, independent-set enumeration, shadow graphs,
-and the strong freeness test for hypergraphs.
+exact independence-number solver, shadow graphs, and edge-list interchange.
 
 Graphs are immutable bitset adjacency rows (Python ints), so all set algebra
 in the solvers is word-parallel.  Every solver is deterministic: vertex
@@ -15,9 +14,8 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain, combinations, repeat
-from operator import and_, index, rshift
+from itertools import chain, repeat
+from operator import index, rshift
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -456,9 +454,6 @@ class ForbiddenPattern:
         if self.kind == "clique":
             return f"k{self.size}"
         return f"c{self.size}" if self.kind == "odd_cycle" else "c4"
-
-    def is_bipartite_pattern(self) -> bool:
-        return self.kind == "c4"
 
 
 # --- clique / independence engine ------------------------------------------
@@ -915,21 +910,6 @@ def is_pattern_free(
     raise ValueError(f"unknown pattern kind {F.kind}")
 
 
-def validate_witness(G: Graph, F: ForbiddenPattern, witness: Sequence[int]) -> bool:
-    """Independently re-check a witness returned by is_pattern_free."""
-    w = list(witness)
-    if len(set(w)) != len(w):
-        return False
-    if F.kind == "clique":
-        return len(w) == F.size and all(
-            G.has_edge(a, b) for i, a in enumerate(w) for b in w[i + 1 :]
-        )
-    k = F.size
-    if len(w) != k:
-        return False
-    return all(G.has_edge(w[i], w[(i + 1) % k]) for i in range(k))
-
-
 def triangle_count(G: Graph) -> int:
     """Exact number of triangles (each counted once, by sorted vertex order)."""
     total = 0
@@ -940,73 +920,6 @@ def triangle_count(G: Graph) -> int:
     return total
 
 
-# --- clique and independent set enumeration ---------------------------------
-
-ENUMERATION_LIMIT = 10**8
-
-
-def _iter_cliques(G: Graph, s: int, budget: int | None) -> Iterator[tuple[int, ...]]:
-    """All cliques of size exactly s, in lexicographic order."""
-    nodes = [0]
-    chosen: list[int] = []
-
-    def rec(cand: int, need: int) -> Iterator[tuple[int, ...]]:
-        nodes[0] += 1
-        if budget is not None and nodes[0] > budget:
-            raise UndecidedError(f"clique enumeration exhausted budget {budget}")
-        if need == 0:
-            yield tuple(chosen)
-            return
-        while cand:
-            if cand.bit_count() < need:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand ^= 1 << v
-            chosen.append(v)
-            yield from rec(cand & G.rows[v], need - 1)
-            chosen.pop()
-
-    yield from rec((1 << G.n) - 1, s)
-
-
-def iter_independent_sets(G: Graph, t: int) -> Iterator[tuple[int, ...]]:
-    """All independent sets of size exactly t, in lexicographic order: the
-    t-cliques of the complement."""
-    if t >= 0:
-        yield from _iter_cliques(G.complement(), t, None)
-
-
-def enumerate_independent_sets(G: Graph, t: int, limit: int = ENUMERATION_LIMIT) -> int:
-    """Exact count of independent sets of size exactly t, guarded against
-    blow-up: raises UndecidedError with the partial count at the limit."""
-    if t < 0:
-        return 0
-    if t == 0:
-        return 1
-    count = 0
-
-    def rec(cand: int, need: int) -> None:
-        nonlocal count
-        if need == 1:
-            count += cand.bit_count()
-            if count > limit:
-                raise UndecidedError(
-                    f"independent-set count exceeds limit {limit}", partial=count
-                )
-            return
-        while cand:
-            if cand.bit_count() < need:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand ^= 1 << v
-            sub = cand & ~G.rows[v]
-            if sub.bit_count() >= need - 1:
-                rec(sub, need - 1)
-
-    rec((1 << G.n) - 1, t)
-    return count
-
-
 # --- hypergraphs ---------------------------------------------------------------
 
 
@@ -1014,33 +927,6 @@ def shadow_graph(H: LinearHypergraph) -> Graph:
     """Graph joining every pair of vertices that share a hyperedge."""
     # symmetric, loopless and in range: a row ORs one mask per hyperedge
     return Graph._valid(H.n, _shadow_rows(H.n, H.edges))
-
-
-def is_strongly_pattern_free(
-    H: LinearHypergraph, F: ForbiddenPattern, budget: int | None = None
-) -> tuple[bool, list[int] | None]:
-    """True iff every copy of F in the shadow graph has a hyperedge whose
-    intersection with the copy induces (within the copy) a non-bipartite
-    subgraph.  On False, returns the first violating copy's vertices.
-
-    The part of a copy that one hyperedge covers induces a clique when F is a
-    clique, so it is non-bipartite exactly when it has >= 3 vertices; when F
-    is an odd k-cycle it induces the whole cycle or a union of paths, so it is
-    non-bipartite exactly when it has all k.  A copy is therefore covered
-    exactly when some `need` of its vertices share a hyperedge, which one AND
-    of per-vertex hyperedge masks decides for each `need`-subset."""
-    if F.is_bipartite_pattern():
-        raise ValueError("strong freeness is defined for non-bipartite patterns only")
-    shadow = shadow_graph(H)
-    through = [sum(1 << e for e in inc) for inc in H.incidence()]
-    if F.kind == "clique":
-        need, copies = 3, _iter_cliques(shadow, F.size, budget)
-    else:
-        need, copies = F.size, _iter_cycles_exact(shadow, F.size, budget)
-    for copy in copies:
-        if not any(reduce(and_, part) for part in combinations([through[v] for v in copy], need)):
-            return False, list(copy)
-    return True, None
 
 
 # --- text interchange ---------------------------------------------------------

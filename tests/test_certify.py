@@ -206,18 +206,6 @@ def test_pipeline_unital_proves_alpha_once(monkeypatch):
     assert searched == [False] + [True] * (len(cert.deletion_trace) + 1)
 
 
-def test_pipeline_unital_does_not_reprove_strong_freeness(monkeypatch):
-    # H's strong k4-freeness is the transference hypothesis; its conclusion,
-    # a k4-free trial graph, is checked on every trial instead
-    def refuse(*args, **kwargs):
-        raise AssertionError("strong k4-freeness re-proved")
-
-    monkeypatch.setattr(gc, "is_strongly_pattern_free", refuse)
-    monkeypatch.setattr(ce, "is_strongly_pattern_free", refuse, raising=False)
-    cert = ce.pipeline_unital(3, 1, 7, t=12)
-    assert cert.valid and cert.pattern == "k4"
-
-
 def test_pipeline_guards():
     with pytest.raises(ValueError):
         ce.pipeline_unital(5, 1, 0)

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+import graph_reference as ref
 from ramseyforge import cli
 from ramseyforge import geometry as geo
 from ramseyforge import gf
@@ -128,6 +129,28 @@ def test_check_budget_undecided(capsys, er3_file, tmp_path, monkeypatch):
     assert run(capsys, ["check", "--pattern", "k4", "--in", str(p7)])[0] == 0
 
 
+def test_negative_or_malformed_budget_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    # a budget of -1 used to exhaust at once and answer undecided (exit 3),
+    # and RAMSEYFORGE_BUDGET=abc ended in int()'s bare message
+    code, out, _ = run(capsys, ["construct", "er", "--q", "5"])
+    er5 = tmp_path / "er5.txt"
+    er5.write_text(out)
+    check = ["check", "--pattern", "k4", "--in", str(er5)]
+    certify = ["certify", "--family", "er", "--q", "5", "--pattern", "c4"]
+    for argv in ([*check, "--budget", "-1"], [*certify, "--budget", "-1"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "") and "--budget" in err and "Traceback" not in err
+    for value in ("-1", "abc", "1.5"):
+        monkeypatch.setenv("RAMSEYFORGE_BUDGET", value)
+        for argv in (check, certify):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "") and "RAMSEYFORGE_BUDGET" in err
+    # the option wins over the variable, and a budget of 0 is still a budget
+    assert run(capsys, [*check, "--budget", "0"])[0] == 3
+    monkeypatch.setenv("RAMSEYFORGE_BUDGET", "0")
+    assert run(capsys, check)[0] == 3
+
+
 def test_spectrum(capsys, er3_file, tmp_path):
     code, out, _ = run(capsys, ["spectrum", "--in", er3_file])
     assert code == 0
@@ -160,6 +183,24 @@ def test_containers(capsys, er3_file):
     }
     code, out, _ = run(capsys, ["containers", "--in", er3_file, "--mode", "sampled", "--samples", "50", "--seed", "3"])
     assert code == 0 and json.loads(out)["mode"] == "sampled"
+
+
+def test_containers_output_pinned(capsys, tmp_path):
+    # exhaustive ER_3 and bip(5, 2), sampled ER_7 (seed 4) and bip(11, 2):
+    # one digest over the stdouts in that order
+    digest = hashlib.sha256()
+    for argv, extra in (
+        (["er", "--q", "3"], []),
+        (["bip", "--q", "5", "--s", "2", "--variant", "symmetrized"], []),
+        (["er", "--q", "7"], ["--seed", "4"]),
+        (["bip", "--q", "11", "--s", "2", "--variant", "symmetrized"], []),
+    ):
+        path = tmp_path / "graph.txt"
+        path.write_text(run(capsys, ["construct", *argv])[1])
+        code, out, _ = run(capsys, ["containers", "--in", str(path), *extra])
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == "de73abe58812981bfc4d7a7ae93eb8463face32ed66a8d22285992300c3a4eaf"
 
 
 def test_transfer(capsys):
@@ -478,6 +519,31 @@ def test_verify_t_above_witness_size_needs_no_search(capsys, tmp_path):
     path.write_text(json.dumps(cert))
     code, out, _ = run(capsys, ["verify", "--cert", str(path), "--budget", "1"])
     assert code == 0 and json.loads(out)["status"] == "VALID"
+
+
+@pytest.mark.parametrize(
+    "edit, pattern_free, alpha_ok, detail",
+    [
+        ({"t": 0}, True, False, r"independent set of size t = 0 found: \[\]"),
+        ({"pattern": "k3"}, False, True, r"k3 found: \[(\d+), (\d+), (\d+)\]"),
+    ],
+    ids=["t-0", "pattern-k3"],
+)
+def test_invalid_verdict_names_the_failed_check(capsys, tmp_path, edit, pattern_free, alpha_ok, detail):
+    # the INVALID detail used to be a bare "replay checks failed"
+    cert = {"family": "er", "params": {"q": 3, "p": 1.0}, "pattern": "c4", "t": 6,
+            "witnessCount": 13, "seed": 0, "deletionTrace": [], "valid": True, "toolVersion": "0.1.0"}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({**cert, **edit}))
+    code, out, _ = run(capsys, ["verify", "--cert", str(path)])
+    payload = json.loads(out)
+    assert code == 1 and payload["status"] == "INVALID"
+    assert (payload["patternFree"], payload["alphaLessThanT"]) == (pattern_free, alpha_ok)
+    match = re.fullmatch(detail, payload["detail"])
+    assert match
+    witness = [int(v) for v in match.groups()]
+    if witness:  # the copy of k3, in ER_3's own labels
+        assert ref.validate_witness(geo.polarity_graph(3), gc.ForbiddenPattern.clique(3), witness)
 
 
 def test_usage_and_version(capsys):

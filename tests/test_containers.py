@@ -1,4 +1,4 @@
-"""Pseudorandomness checks, fingerprints, count bounds."""
+"""Pseudorandomness parameters and their exhaustive and sampled checks."""
 
 from __future__ import annotations
 
@@ -247,152 +247,3 @@ def test_exact_alpha_matches_brute_force():
     G = random_graph(18, 0.5, random.Random(18))
     expected = min(density(G, X) for X in itertools.combinations(range(18), 9))
     assert ct.exact_alpha_m(G, 9) == expected
-
-
-# --- fingerprint ---------------------------------------------------------------
-
-
-def test_fingerprint_trivial():
-    G = complete_graph(4)
-    fp = ct.fingerprint(G, [2], 1, G.n)
-    assert fp.vertices == () and fp.remainder == (0, 1, 2, 3)
-
-
-def test_fingerprint_disjoint_cliques():
-    cliques, d = 4, 3
-    edges = []
-    for c in range(cliques):
-        base = c * (d + 1)
-        edges += [(base + i, base + j) for i in range(d + 1) for j in range(i + 1, d + 1)]
-    G = Graph.from_edges(cliques * (d + 1), edges)
-    I = [0, 4, 8, 12]
-    fp = ct.fingerprint(G, I, cliques, 0)
-    assert fp.vertices == (0, 4, 8, 12) and fp.remainder == ()
-    # each step removes exactly one clique: n_j = n - j(d+1)
-    for s in (1, 2, 3):
-        partial = ct.fingerprint(G, I, s, 0)
-        assert len(partial.remainder) == G.n - s * (d + 1)
-        assert partial.vertices == tuple(I[:s])
-
-
-def test_fingerprint_prefers_max_degree():
-    # star center 0 with leaves 1..4, plus isolated 5; I = {3, 5}
-    G = Graph.from_edges(6, [(0, i) for i in range(1, 5)])
-    fp = ct.fingerprint(G, [3, 5], 1, 0)
-    assert fp.vertices == (3,)  # degree 1 beats degree 0, index breaks ties
-    assert 5 in fp.remainder
-
-
-def test_fingerprint_validation():
-    G = complete_graph(3)
-    with pytest.raises(ValueError):
-        ct.fingerprint(G, [0, 1], 1, 0)  # not independent
-    with pytest.raises(ValueError):
-        ct.fingerprint(G, [7], 1, 0)
-    with pytest.raises(ValueError):
-        ct.fingerprint(G, [0], 0, 0)
-    with pytest.raises(ValueError):
-        ct.fingerprint(G, [0], 1, -1)
-
-
-def test_fingerprint_union_identity():
-    # I = picked union (I intersect remainder), for every independent set
-    rng = random.Random(5)
-    for _ in range(20):
-        n = rng.randint(5, 12)
-        G = random_graph(n, 0.5, rng)
-        for I in gc.iter_independent_sets(G, min(3, gc.independence_number(G).value)):
-            fp = ct.fingerprint(G, I, 2, max(2, n // 2))
-            rem = set(fp.remainder)
-            assert set(I) == set(fp.vertices) | (set(I) & rem)
-
-
-def test_remainder_bound_and_reconstruction():
-    # with exact alpha and exp(-alpha s) n <= m: remainder <= m, and the
-    # (fingerprint, tail) pair is injective
-    rng = random.Random(2026)
-    tested = 0
-    while tested < 6:
-        n = rng.randint(10, 14)
-        G = random_graph(n, 0.5, rng)
-        if G.edge_count == 0:
-            continue
-        alpha_g = gc.independence_number(G).value
-        m = max(n // 2, alpha_g + 1)
-        if m >= n:
-            continue
-        a = ct.exact_alpha_m(G, m)
-        if a == 0:
-            continue
-        t = alpha_g
-        admissible = [
-            s for s in range(1, t + 1) if math.exp(-float(a) * s) * n <= m
-        ]
-        if not admissible:
-            continue
-        s = admissible[0]
-        seen = {}
-        for I in gc.iter_independent_sets(G, t):
-            fp = ct.fingerprint(G, I, s, m)
-            assert len(fp.remainder) <= m
-            tail = tuple(v for v in I if v in set(fp.remainder))
-            assert ct.reconstruct_independent_set(G, fp, tail, s, m) == I
-            key = (fp.vertices, tail)
-            assert key not in seen  # injectivity
-            seen[key] = I
-        tested += 1
-
-
-def test_counts_below_bound():
-    rng = random.Random(11)
-    tested = 0
-    while tested < 8:
-        n = rng.randint(10, 14)
-        G = random_graph(n, 0.5, rng)
-        if G.edge_count == 0:
-            continue
-        alpha_g = gc.independence_number(G).value
-        m = max(n // 2, alpha_g + 1)
-        if m >= n:
-            continue
-        a = ct.exact_alpha_m(G, m)
-        if a == 0:
-            continue
-        for t in range(1, min(m, alpha_g) + 1):
-            for s in range(1, t + 1):
-                if math.exp(-float(a) * s) * n <= m:
-                    assert gc.enumerate_independent_sets(G, t) <= ct.count_bound(n, m, s, t)
-                    tested += 1
-
-
-# --- count bounds ----------------------------------------------------------------
-
-
-def test_count_bound_examples():
-    assert ct.count_bound(12, 6, 2, 4) == 990
-    assert ct.count_bound(10, 6, 3, 3) == math.comb(10, 3)
-    for bad in ((6, 12, 2, 4), (12, 6, 4, 2), (12, 6, 0, 0), (12, 6, 2, 7)):
-        with pytest.raises(ValueError):
-            ct.count_bound(*bad)
-
-
-def test_count_bound_ndl():
-    lam_unit = math.log(57) ** 2 / (4 * math.e**2)
-    r = ct.count_bound_ndl(57, 8.0, lam_unit, 300)
-    assert r.value == pytest.approx(1.0)
-    assert r.applicable
-    # smaller lambda: decaying in t
-    small = ct.count_bound_ndl(57, 8.0, lam_unit / 2, 300)
-    smaller = ct.count_bound_ndl(57, 8.0, lam_unit / 2, 301)
-    assert smaller.value < small.value < 1.0
-    # desk scale: the threshold honestly exceeds n
-    G = geo.polarity_graph(7)
-    d = 2 * G.edge_count / G.n
-    r7 = ct.count_bound_ndl(G.n, d, math.sqrt(7), 16)
-    assert not r7.applicable and r7.threshold > G.n
-    with pytest.raises(ValueError):
-        ct.count_bound_ndl(1, 2.0, 1.0, 3)
-    with pytest.raises(ValueError):
-        ct.count_bound_ndl(10, 0.0, 1.0, 3)
-    with pytest.raises(ValueError):
-        ct.count_bound_ndl(10, 2.0, 1.0, 0)

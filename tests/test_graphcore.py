@@ -1,4 +1,4 @@
-"""Graph model, exact solvers, enumeration, strong freeness, interchange."""
+"""Graph model, exact solvers, pattern freeness, hypergraphs, interchange."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graph_reference as ref
 from ramseyforge import geometry as geo
 from ramseyforge import graphcore as gc
 from ramseyforge.graphcore import ForbiddenPattern, Graph, LinearHypergraph
@@ -326,16 +327,6 @@ def test_independence_matches_brute_force():
         assert res.value == brute_alpha(G)
         mask = sum(1 << v for v in res.witness)
         assert G.subgraph_edge_count(mask) == 0 and len(res.witness) == res.value
-
-
-def test_independence_agrees_with_enumeration():
-    rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randint(2, 25)
-        G = random_graph(n, rng.uniform(0.25, 0.85), rng)
-        alpha = gc.independence_number(G).value
-        assert gc.enumerate_independent_sets(G, alpha) > 0
-        assert gc.enumerate_independent_sets(G, alpha + 1) == 0
 
 
 def test_turan_floor():
@@ -722,68 +713,12 @@ def test_drop_vertex_matches_induced():
         petersen().drop_vertex(10)
 
 
-# --- enumeration ---------------------------------------------------------------
-
-
-def test_enumerate_examples():
-    two_k3 = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert gc.enumerate_independent_sets(two_k3, 2) == 9  # (d+1)^t with d=2, t=2
-    assert gc.enumerate_independent_sets(cycle_graph(5), 2) == 5
-    assert gc.enumerate_independent_sets(cycle_graph(5), 0) == 1
-    assert gc.enumerate_independent_sets(complete_graph(4), 2) == 0
-
-
-def test_enumerate_matches_brute_force():
-    rng = random.Random(11)
-    for _ in range(25):
-        n = rng.randint(1, 12)
-        G = random_graph(n, rng.random(), rng)
-        for t in range(n + 1):
-            brute = sum(
-                1
-                for c in itertools.combinations(range(n), t)
-                if G.subgraph_edge_count(sum(1 << v for v in c)) == 0
-            )
-            assert gc.enumerate_independent_sets(G, t) == brute
-
-
-def test_iter_independent_sets_lexicographic():
-    G = cycle_graph(6)
-    sets = list(gc.iter_independent_sets(G, 2))
-    assert sets == sorted(sets)
-    assert len(sets) == gc.enumerate_independent_sets(G, 2)
-    for s in sets:
-        assert G.subgraph_edge_count(sum(1 << v for v in s)) == 0
-    rng = random.Random(23)
-    for _ in range(40):
-        n = rng.randint(0, 11)
-        G = random_graph(n, rng.uniform(0.1, 0.9), rng)
-        alpha = brute_alpha(G)
-        assert list(gc.iter_independent_sets(G, -1)) == []
-        assert list(gc.iter_independent_sets(G, 0)) == [()]
-        assert list(gc.iter_independent_sets(G, alpha + 1)) == []
-        for t in range(1, alpha + 1):
-            expected = [
-                c
-                for c in itertools.combinations(range(n), t)
-                if G.subgraph_edge_count(sum(1 << v for v in c)) == 0
-            ]
-            assert list(gc.iter_independent_sets(G, t)) == expected
-
-
-def test_enumeration_limit_guard():
-    empty = Graph(40, [0] * 40)
-    with pytest.raises(gc.UndecidedError) as exc:
-        gc.enumerate_independent_sets(empty, 20, limit=1000)
-    assert exc.value.partial > 1000
-
-
 # --- pattern freeness ------------------------------------------------------------
 
 
 def test_clique_pattern():
     free, witness = gc.is_pattern_free(complete_graph(4), ForbiddenPattern.clique(4))
-    assert not free and gc.validate_witness(complete_graph(4), ForbiddenPattern.clique(4), witness)
+    assert not free and ref.validate_witness(complete_graph(4), ForbiddenPattern.clique(4), witness)
     assert gc.is_pattern_free(petersen(), ForbiddenPattern.clique(3)) == (True, None)
 
 
@@ -849,7 +784,7 @@ def test_clique_screen_decides_polarity_k4_without_search(q, monkeypatch):
 def test_c4_pattern():
     K22 = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     free, w = gc.is_pattern_free(K22, ForbiddenPattern.c4())
-    assert not free and gc.validate_witness(K22, ForbiddenPattern.c4(), w)
+    assert not free and ref.validate_witness(K22, ForbiddenPattern.c4(), w)
     assert gc.is_pattern_free(petersen(), ForbiddenPattern.c4()) == (True, None)
     assert gc.is_pattern_free(cycle_graph(4), ForbiddenPattern.c4())[0] is False
 
@@ -887,7 +822,7 @@ def test_c4_matches_common_neighbour_scan(G):
     assert free == (not has_c4)
     assert witness == pair_dict_c4(G)
     if not free:
-        assert gc.validate_witness(G, ForbiddenPattern.c4(), witness)
+        assert ref.validate_witness(G, ForbiddenPattern.c4(), witness)
 
 
 def test_c4_check_memory():
@@ -920,7 +855,7 @@ def test_c4_check_memory_on_star():
 def test_odd_cycle_pattern():
     for n in (5, 7, 9):
         free, w = gc.is_pattern_free(cycle_graph(n), ForbiddenPattern.odd_cycle(n))
-        assert not free and gc.validate_witness(cycle_graph(n), ForbiddenPattern.odd_cycle(n), w)
+        assert not free and ref.validate_witness(cycle_graph(n), ForbiddenPattern.odd_cycle(n), w)
     # C7 contains no C5
     assert gc.is_pattern_free(cycle_graph(7), ForbiddenPattern.odd_cycle(5)) == (True, None)
     # bipartite graphs contain no odd cycle at all
@@ -931,7 +866,7 @@ def test_odd_cycle_pattern():
     assert gc.is_pattern_free(G, ForbiddenPattern.odd_cycle(5)) == (True, None)
     # Petersen: girth 5, so C5 exists but no C3
     free, w = gc.is_pattern_free(petersen(), ForbiddenPattern.odd_cycle(5))
-    assert not free and gc.validate_witness(petersen(), ForbiddenPattern.odd_cycle(5), w)
+    assert not free and ref.validate_witness(petersen(), ForbiddenPattern.odd_cycle(5), w)
 
 
 def pendant_cycles() -> list[Graph]:
@@ -968,20 +903,17 @@ def test_odd_cycle_matches_brute_force():
             free, w = gc.is_pattern_free(G, ForbiddenPattern.odd_cycle(k))
             assert free == (not brute)
             if not free:
-                assert gc.validate_witness(G, ForbiddenPattern.odd_cycle(k), w)
+                assert ref.validate_witness(G, ForbiddenPattern.odd_cycle(k), w)
         if shortest is not None:  # the witness is a simple cycle of odd-girth length
             girth, cycle = gc._odd_girth(G)
             assert girth == shortest
-            assert gc.validate_witness(G, ForbiddenPattern.odd_cycle(girth), cycle)
+            assert ref.validate_witness(G, ForbiddenPattern.odd_cycle(girth), cycle)
 
 
 def test_odd_cycle_longer_than_graph_is_not_searched():
     # a simple k-cycle needs k vertices, so these are decided without a search
     start = time.perf_counter()
     assert gc.is_pattern_free(geo.polarity_graph(4), ForbiddenPattern.odd_cycle(23)) == (True, None)
-    H = geo.unital_line_hypergraph(3)
-    assert H.n == 63
-    assert gc.is_strongly_pattern_free(H, ForbiddenPattern.odd_cycle(65)) == (True, None)
     assert time.perf_counter() - start < 1.0
     assert gc.is_pattern_free(cycle_graph(7), ForbiddenPattern.odd_cycle(7))[0] is False
 
@@ -999,7 +931,7 @@ def test_triangle_count_matches_spectra_free_reference():
         assert gc.triangle_count(G) == brute
 
 
-# --- shadow and strong freeness -----------------------------------------------
+# --- shadow graphs -----------------------------------------------------------
 
 
 def test_shadow_examples():
@@ -1048,125 +980,6 @@ def test_linearity_matches_pair_count_oracle(case):
     ).groups())
     assert (u, v) in repeated and i < j
     assert {u, v} <= set(edges[i]) and {u, v} <= set(edges[j])
-
-
-@st.composite
-def linear_hypergraphs(draw):
-    """Small uniform linear hypergraphs: of up to 30 random r-sets, those
-    that repeat no vertex pair of an earlier one."""
-    n = draw(st.integers(3, 10))
-    r = draw(st.integers(2, min(n, 5)))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    kept = []
-    for _ in range(draw(st.integers(1, 30))):
-        e = rng.sample(range(n), r)
-        if all(len(set(e) & set(f)) <= 1 for f in kept):
-            kept.append(e)
-    return LinearHypergraph(n, kept)
-
-
-def induced_piece_bipartite(copy_vertices, copy_edges, inside) -> bool:
-    """2-color the subgraph of the copy induced by the vertices in `inside`."""
-    verts = [v for v in copy_vertices if v in inside]
-    adj = {v: [] for v in verts}
-    vset = set(verts)
-    for a, b in copy_edges:
-        if a in vset and b in vset:
-            adj[a].append(b)
-            adj[b].append(a)
-    color = {}
-    for start in verts:
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in color:
-                    color[v] = color[u] ^ 1
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
-
-
-def two_coloring_strong_freeness(H: LinearHypergraph, F: ForbiddenPattern):
-    """Reference: list the copies of F in the shadow in the library's order
-    (cliques lexicographic; cycles from their smallest vertex, second vertex
-    below the last) and call a copy covered when some hyperedge's part of it
-    is not 2-colourable."""
-    shadow = gc.shadow_graph(H)
-    k = F.size
-    if F.kind == "clique":
-        copies = [
-            c for c in itertools.combinations(range(H.n), k)
-            if all(shadow.has_edge(a, b) for a, b in itertools.combinations(c, 2))
-        ]
-        edge_sets = [set(itertools.combinations(c, 2)) for c in copies]
-    else:
-        copies = [
-            p for p in itertools.permutations(range(H.n), k)
-            if p[0] == min(p) and p[1] < p[-1]
-            and all(shadow.has_edge(p[i], p[(i + 1) % k]) for i in range(k))
-        ]
-        edge_sets = [{tuple(sorted((c[i], c[(i + 1) % k]))) for i in range(k)} for c in copies]
-    for copy, copy_edges in zip(copies, edge_sets):
-        if all(induced_piece_bipartite(copy, copy_edges, set(e)) for e in H.edges):
-            return False, list(copy)
-    return True, None
-
-
-@settings(max_examples=300, deadline=None)
-@given(linear_hypergraphs(), st.sampled_from(["k3", "k4", "c3", "c5"]))
-def test_strong_freeness_matches_two_coloring(H, name):
-    F = ForbiddenPattern.parse(name)
-    assert gc.is_strongly_pattern_free(H, F) == two_coloring_strong_freeness(H, F)
-
-
-@pytest.mark.parametrize(
-    "q, name, expected",
-    [
-        (2, "k3", (False, [0, 3, 6])),
-        (3, "k3", (False, [0, 26, 35])),
-        (4, "k3", (False, [0, 23, 49])),
-        (4, "k4", (True, None)),
-    ],
-)
-def test_strong_freeness_of_unital_duals(q, name, expected):
-    # the verdicts and first violating copies of the hyperedge scan
-    H = geo.unital_line_hypergraph(q)
-    assert gc.is_strongly_pattern_free(H, ForbiddenPattern.parse(name)) == expected
-
-
-def test_strongly_free_single_edge():
-    H = LinearHypergraph(4, [(0, 1, 2, 3)])
-    assert gc.is_strongly_pattern_free(H, ForbiddenPattern.clique(3)) == (True, None)
-    assert gc.is_strongly_pattern_free(H, ForbiddenPattern.clique(4)) == (True, None)
-
-
-def test_strongly_free_three_edge_violation():
-    # three triples pairwise meeting in one vertex, empty common intersection
-    H = LinearHypergraph(6, [(0, 1, 2), (0, 3, 4), (1, 3, 5)])
-    free, copy = gc.is_strongly_pattern_free(H, ForbiddenPattern.clique(3))
-    assert not free
-    assert sorted(copy) == [0, 1, 3]
-
-
-def test_strongly_free_odd_cycle():
-    # pentagon spread over five edges: every C5 copy misses full containment
-    H = LinearHypergraph(10, [(0, 1, 5), (1, 2, 6), (2, 3, 7), (3, 4, 8), (4, 0, 9)])
-    free, copy = gc.is_strongly_pattern_free(H, ForbiddenPattern.odd_cycle(5))
-    assert not free and sorted(copy) == [0, 1, 2, 3, 4]
-    # whole C5 inside one hyperedge is fine
-    H2 = LinearHypergraph(5, [(0, 1, 2, 3, 4)])
-    assert gc.is_strongly_pattern_free(H2, ForbiddenPattern.odd_cycle(5)) == (True, None)
-
-
-def test_strongly_free_rejects_bipartite_pattern():
-    H = LinearHypergraph(4, [(0, 1, 2, 3)])
-    with pytest.raises(ValueError):
-        gc.is_strongly_pattern_free(H, ForbiddenPattern.c4())
 
 
 # --- interchange ------------------------------------------------------------------
