@@ -267,9 +267,7 @@ def verify_certificate(
             f"witness has {len(alive)} vertices, certificate says {cert.witness_count}",
         )
     sub = G if len(alive) == G.n else G.induced(alive)
-    symmetry = None
-    if sub is G and budget is None:
-        symmetry = family_symmetry(cert.family, cert.params, G)
+    symmetry = family_symmetry(cert.family, cert.params, G) if sub is G else None
     try:
         free, copy = is_pattern_free(sub, F, budget)
         found = find_independent_set(sub, cert.t, budget, symmetry)

@@ -18,7 +18,6 @@ import argparse
 import hashlib
 import io
 import json
-import os
 import sys
 import time
 from typing import Sequence
@@ -100,21 +99,11 @@ def _load_graph(path: str, run: _Run):
 
 
 def _budget(args) -> int | None:
-    """--budget, else RAMSEYFORGE_BUDGET, else None (no limit); a negative
-    or non-integer value is a usage error, not an exhausted budget."""
-    budget, source = args.budget, "--budget"
-    if budget is None:
-        env = os.environ.get("RAMSEYFORGE_BUDGET")
-        if not env:
-            return None
-        source = "RAMSEYFORGE_BUDGET"
-        try:
-            budget = int(env)
-        except ValueError:
-            raise ValueError(f"RAMSEYFORGE_BUDGET must be an integer >= 0, got {env!r}") from None
-    if budget < 0:
-        raise ValueError(f"{source} must be >= 0, got {budget}")
-    return budget
+    """--budget, else None (no limit); a negative value is a usage error,
+    not an exhausted budget."""
+    if args.budget is not None and args.budget < 0:
+        raise ValueError(f"--budget must be >= 0, got {args.budget}")
+    return args.budget
 
 
 # --- subcommands --------------------------------------------------------------
@@ -272,8 +261,7 @@ def _cmd_certify(args, run: _Run) -> int:
         t, alpha = args.t, None
         if t is None:  # settle the ambient pattern before the costly alpha
             check_ambient(G, F, budget)
-            symmetry = None if budget is not None else family_symmetry(args.family, params, G)
-            alpha = independence_number(G, budget, symmetry)
+            alpha = independence_number(G, budget, family_symmetry(args.family, params, G))
             t = alpha.value + 1
         cert = sample_and_delete(
             G, F, t, args.p, args.seed, args.family, params, budget=budget, alpha=alpha

@@ -486,8 +486,9 @@ def _max_clique_search(
     """Branch-and-bound maximum clique with greedy-coloring bounds, of G or,
     with complement=True, of its complement (a maximum independent set).
 
-    Returns (best, best_set_in_input_labels, status) where status is
-    'complete', 'target' (early stop at target size) or 'budget'.
+    Returns (best, best_set_in_input_labels, status, nodes) where status is
+    'complete', 'target' (early stop at target size) or 'budget', and nodes
+    counts the search nodes expanded: at most budget + 1.
     Vertices are relabeled by descending degree in the searched graph (ties
     by index), which fixes the search tree and therefore the witness
     deterministically.  The search keeps, per vertex, the mask of the
@@ -498,7 +499,7 @@ def _max_clique_search(
     """
     n = G.n
     if n == 0:
-        return 0, (), "complete"
+        return 0, (), "complete", 0
     sign = 1 if complement else -1
     order = sorted(range(n), key=lambda v: (sign * G.degrees[v], v))
     others = _relabel(G.rows, order)
@@ -541,7 +542,7 @@ def _max_clique_search(
         status = "complete"
     except _Stop as stop:
         status = stop.args[0]
-    return len(best), tuple(sorted(order[v] for v in best)), status
+    return len(best), tuple(sorted(order[v] for v in best)), status, nodes
 
 
 # --- verified symmetry and orbital branching ----------------------------------
@@ -612,10 +613,14 @@ class Automorphisms:
         self.perms = tuple(checked)
 
 
-def _orbital_alpha(G: Graph, symmetry: Automorphisms, floor: int, target: int | None):
-    """(size, sorted set) of a largest independent set of G if it has more
-    than `floor` vertices, else (floor, ()); with a target, any set of at
-    least that size may be returned early.
+def _orbital_alpha(
+    G: Graph, symmetry: Automorphisms, floor: int, target: int | None, budget: int | None
+):
+    """(size, sorted set, status) of a largest independent set of G if it
+    has more than `floor` vertices, else (floor, (), status); status is as
+    in _max_clique_search.  With a target, any set of at least that size may
+    be returned early; the budget bounds the nodes of all leaf searches
+    together, and on its exhaustion the best set so far is returned.
 
     Two levels of orbital branching (Ostrowski, Linderoth, Rossi and
     Smriglio, Math. Program. 126, 2011).  Take the orbits O_1, O_2, ... of
@@ -624,12 +629,14 @@ def _orbital_alpha(G: Graph, symmetry: Automorphisms, floor: int, target: int | 
     outside O_1..O_{j-1}: an invariant set of the generators that fix r_j,
     whose orbits split it the same way one level down.  Each leaf is the
     plain search on its candidate set, seeking only sets above the best
-    size so far; the set kept is r, r2 and the leaf's set."""
+    size so far, with what is left of the budget; the set kept is r, r2 and
+    the leaf's set."""
     if symmetry.rows != G.rows:
         raise ValueError("automorphisms belong to another graph")
     rows, n = G.rows, G.n
     full = (1 << n) - 1
     best, witness = floor, ()
+    left = budget  # nodes the later leaf searches may expand
     seen = 0  # vertices of the orbits already branched on
     for r, orbit in _orbits(n, symmetry.perms, full):
         cand = full & ~(rows[r] | seen | 1 << r)
@@ -648,19 +655,21 @@ def _orbital_alpha(G: Graph, symmetry: Automorphisms, floor: int, target: int | 
             if 2 + leaf.bit_count() <= best:
                 continue
             vs = list(_iter_bits(leaf))
-            size, found, _ = _max_clique_search(
+            size, found, status, used = _max_clique_search(
                 Graph._valid(len(vs), _relabel(rows, vs)),
-                None,
+                left,
                 None if target is None else target - 2,
                 True,
                 best - 2,
             )
+            if left is not None:
+                left -= used
             if size:
                 best = 2 + size
                 witness = tuple(sorted((r, r2, *map(vs.__getitem__, found))))
-                if target is not None and best >= target:
-                    return best, witness
-    return best, witness
+            if status != "complete":
+                return best, witness, status
+    return best, witness, "complete"
 
 
 @dataclass(frozen=True)
@@ -682,8 +691,13 @@ class AlphaResult:
         return self.lower
 
 
-def _clique_number(G: Graph, budget: int | None, complement: bool) -> AlphaResult:
-    best, witness, status = _max_clique_search(G, budget, None, complement)
+def _clique_number(
+    G: Graph, budget: int | None, complement: bool, symmetry: Automorphisms | None = None
+) -> AlphaResult:
+    if symmetry is None:
+        best, witness, status, _ = _max_clique_search(G, budget, None, complement)
+    else:  # only independence searches are given automorphisms
+        best, witness, status = _orbital_alpha(G, symmetry, 0, None, budget)
     if status == "complete":
         return AlphaResult(best, best, witness, True)
     # the colors of a greedy coloring of the searched graph bound its
@@ -703,13 +717,10 @@ def independence_number(
     complement); on budget exhaustion returns a certified interval flagged
     inexact.  Always >= the greedy Turan floor.
 
-    Given automorphisms of G and no budget, alpha and its witness come from
-    orbital branching."""
-    if symmetry is not None and budget is None:
-        alpha, witness = _orbital_alpha(G, symmetry, 0, None)
-        result = AlphaResult(alpha, alpha, witness, True)
-    else:
-        result = _clique_number(G, budget, True)
+    Given automorphisms of G, alpha and its witness come from orbital
+    branching, whose leaf searches share the budget; the interval's upper
+    end is the same greedy-colouring bound of all of G."""
+    result = _clique_number(G, budget, True, symmetry)
     floor = -(-G.n // ((max(G.degrees) if G.n else 0) + 1))
     if result.upper < floor:  # pragma: no cover - would be a solver bug
         raise AssertionError("independence bound fell below the Turan floor")
@@ -732,15 +743,15 @@ def _find_clique(
             if rest:
                 return u, u + (rest & -rest).bit_length()
         return None
-    if symmetry is not None and budget is None:
-        best, witness = _orbital_alpha(G, symmetry, s - 1, s)
-    else:
+    if symmetry is None:
         # seeking only s-sets prunes just the subtrees whose colour bound
         # rules out one, and the cut does not steer the branching: the first
         # s-set in search order, the witness, is the floor-0 search's
-        best, witness, status = _max_clique_search(G, budget, s, complement, s - 1)
-        if status == "budget":
-            raise UndecidedError(f"clique({s}) search exhausted budget {budget}")
+        best, witness, status, _ = _max_clique_search(G, budget, s, complement, s - 1)
+    else:  # only independence searches are given automorphisms
+        best, witness, status = _orbital_alpha(G, symmetry, s - 1, s, budget)
+    if status == "budget":
+        raise UndecidedError(f"clique({s}) search exhausted budget {budget}")
     return witness[:s] if best >= s else None  # a sorted set's prefix stays sorted
 
 
@@ -753,9 +764,10 @@ def find_clique(G: Graph, s: int, budget: int | None = None) -> tuple[int, ...] 
 def find_independent_set(
     G: Graph, t: int, budget: int | None = None, symmetry: Automorphisms | None = None
 ):
-    """An independent set of size t (a t-clique of the complement), or None.
-    Given automorphisms of G and no budget, orbital branching decides
-    whether one exists and returns it."""
+    """An independent set of size t (a t-clique of the complement), or None;
+    raises UndecidedError if the budget ran out first.  Given automorphisms
+    of G, orbital branching decides whether one exists and returns it, its
+    leaf searches sharing the budget."""
     return _find_clique(G, t, budget, True, symmetry)
 
 

@@ -4,15 +4,13 @@ Eigenpairs come from LAPACK (numpy's eigh) and are not taken on trust:
 every pair must have a small residual ||Av - theta v|| and the eigenvectors
 must be orthonormal, so each returned theta lies within its residual of a
 true eigenvalue.  On top of that: the (n,d,lambda) report, the even-walk
-eigenvalue inequality, the expander mixing lemma, the ratio bound on
-independent sets, and the triangle trace bound.
+eigenvalue inequality and the ratio bound on independent sets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -181,32 +179,6 @@ def alon_boppana_check(report: SpectralReport, k: int) -> bool:
     return lhs >= rhs - 1e-9 * max(1.0, float(rhs))
 
 
-class MixingResult(NamedTuple):
-    deviation: float
-    bound: tuple[float, float]
-    ok: bool
-
-
-def mixing_check(G: Graph, X: Iterable[int], report: SpectralReport | None = None) -> MixingResult:
-    """Two-sided expander mixing inequality on a vertex subset:
-    lambda_min |X| <= 2 e(X) - (d/n)|X|^2 <= lambda |X|."""
-    if report is None:
-        report = spectrum(G)
-    if not report.is_regular:
-        raise ValueError("the mixing bound needs a regular graph")
-    mask = 0
-    for v in X:
-        if not 0 <= v < G.n:
-            raise ValueError(f"vertex {v} out of range")
-        mask |= 1 << v
-    size = mask.bit_count()
-    deviation = 2.0 * G.subgraph_edge_count(mask) - report.d / G.n * size * size
-    lo = report.lam_min * size
-    hi = report.lam * size
-    tol = 1e-9 * G.n * max(1.0, report.d)
-    return MixingResult(deviation, (lo, hi), lo - tol <= deviation <= hi + tol)
-
-
 def hoffman_bound(report: SpectralReport) -> float:
     """Ratio bound on the independence number of a regular graph:
     alpha(G) <= -n lambda_min / (d - lambda_min)."""
@@ -216,15 +188,3 @@ def hoffman_bound(report: SpectralReport) -> float:
     if gap <= 1e-12:
         raise ValueError("degenerate: least eigenvalue equals the degree")
     return -report.n * report.lam_min / gap
-
-
-def triangle_trace_check(report: SpectralReport, triangle_free: bool) -> bool:
-    """For a triangle-free regular graph, tr(A^3) vanishes and therefore
-    d <= lambda (n-1)^(1/3).  Vacuously true when triangles are present."""
-    if not triangle_free:
-        return True
-    cubes = sum(v**3 for v in report.eigenvalues)
-    if abs(cubes) > 1e-5 * max(1, report.n):
-        return False
-    limit = report.lam * (report.n - 1) ** (1.0 / 3.0) * (1.0 + 1e-9)
-    return report.d <= limit

@@ -10,7 +10,6 @@ the seed alone.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -111,7 +110,6 @@ class TrialResult(NamedTuple):
     edges_kept: int
     fraction: float
     fraction_ok: bool
-    sample_fraction: float | None
     pattern_free: bool | None
     pseudorandom_sampled: bool
 
@@ -136,9 +134,8 @@ def concentration_check(
     samples: int = 20,
 ) -> TransferReport:
     """Run seeded coloring trials and report, per trial: kept-edge counts
-    and fraction (target [0.4, 0.6]), the kept fraction on a random subset
-    of size m', sampled (alpha', m')-pseudorandomness, and exact
-    pattern-freeness when a pattern is given.
+    and fraction (target [0.4, 0.6]), sampled (alpha', m')-pseudorandomness,
+    and exact pattern-freeness when a pattern is given.
 
     Expected kept pairs per hyperedge is C(r,2)/2 exactly: each pair of
     slots differs with probability 1/2.
@@ -151,7 +148,6 @@ def concentration_check(
     if trials < 1:
         raise ValueError("need at least one trial")
     params = derive_transfer_params(H)
-    m_prime = params.colored.m
     results = []
     kept_total = 0
     for t in range(trials):
@@ -161,13 +157,6 @@ def concentration_check(
         kept = G.edge_count
         kept_total += kept
         fraction = kept / shadow.edge_count
-        rng = random.Random(derive_seed(trial_seed, 1))
-        X = rng.sample(range(H.n), min(m_prime, H.n))
-        mask = 0
-        for v in X:
-            mask |= 1 << v
-        denom = shadow.subgraph_edge_count(mask)
-        sample_fraction = G.subgraph_edge_count(mask) / denom if denom else None
         free = None
         if pattern is not None:
             free = is_pattern_free(G, pattern)[0]
@@ -185,7 +174,6 @@ def concentration_check(
                 edges_kept=kept,
                 fraction=fraction,
                 fraction_ok=0.4 <= fraction <= 0.6,
-                sample_fraction=sample_fraction,
                 pattern_free=free,
                 pseudorandom_sampled=pseudo,
             )

@@ -117,21 +117,17 @@ def test_check(capsys, er3_file):
     assert run(capsys, ["check", "--pattern", "c4", "--in", er3_file + ".missing"])[0] == 2
 
 
-def test_check_budget_undecided(capsys, er3_file, tmp_path, monkeypatch):
+def test_check_budget_undecided(capsys, er3_file, tmp_path):
     code, out, _ = run(capsys, ["construct", "er", "--q", "7"])
     p7 = tmp_path / "er7.txt"
     p7.write_text(out)
     code, _, err = run(capsys, ["check", "--pattern", "k4", "--in", str(p7), "--budget", "1"])
     assert code == 3 and "undecided" in err
-    monkeypatch.setenv("RAMSEYFORGE_BUDGET", "1")
-    assert run(capsys, ["check", "--pattern", "k4", "--in", str(p7)])[0] == 3
-    monkeypatch.setenv("RAMSEYFORGE_BUDGET", "1000000")
-    assert run(capsys, ["check", "--pattern", "k4", "--in", str(p7)])[0] == 0
+    assert run(capsys, ["check", "--pattern", "k4", "--in", str(p7), "--budget", "1000000"])[0] == 0
 
 
-def test_negative_or_malformed_budget_is_a_usage_error(capsys, tmp_path, monkeypatch):
-    # a budget of -1 used to exhaust at once and answer undecided (exit 3),
-    # and RAMSEYFORGE_BUDGET=abc ended in int()'s bare message
+def test_negative_or_malformed_budget_is_a_usage_error(capsys, tmp_path):
+    # a budget of -1 used to exhaust at once and answer undecided (exit 3)
     code, out, _ = run(capsys, ["construct", "er", "--q", "5"])
     er5 = tmp_path / "er5.txt"
     er5.write_text(out)
@@ -140,15 +136,8 @@ def test_negative_or_malformed_budget_is_a_usage_error(capsys, tmp_path, monkeyp
     for argv in ([*check, "--budget", "-1"], [*certify, "--budget", "-1"]):
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "") and "--budget" in err and "Traceback" not in err
-    for value in ("-1", "abc", "1.5"):
-        monkeypatch.setenv("RAMSEYFORGE_BUDGET", value)
-        for argv in (check, certify):
-            code, out, err = run(capsys, argv)
-            assert (code, out) == (2, "") and "RAMSEYFORGE_BUDGET" in err
-    # the option wins over the variable, and a budget of 0 is still a budget
+    # a budget of 0 is still a budget
     assert run(capsys, [*check, "--budget", "0"])[0] == 3
-    monkeypatch.setenv("RAMSEYFORGE_BUDGET", "0")
-    assert run(capsys, check)[0] == 3
 
 
 def test_spectrum(capsys, er3_file, tmp_path):
@@ -389,20 +378,32 @@ def test_whole_graph_certificates_pinned(capsys, tmp_path, monkeypatch, args, ce
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == verify_digest
     cert = json.loads(path.read_text())
     t, n = cert["t"], cert["witnessCount"]
-    assert calls == [(0, None), (t - 1, t)]
+    assert calls == [(0, None, None), (t - 1, t, None)]
     assert cert["deletionTrace"] == [] and all(m < n for m in searched)
+
+
+def test_budgeted_whole_graph_proofs_use_the_reflections(capsys, tmp_path, monkeypatch):
+    # a budget bounds the orbital search instead of switching it off: the
+    # default-t ER_9 proof and its replay are decided well within 100000
+    # nodes, with the unbudgeted bytes, and the environment sets no budget
+    monkeypatch.setenv("RAMSEYFORGE_BUDGET", "1")
+    certify = ["certify", "--family", "er", "--q", "9", "--pattern", "c4"]
+    code, unbudgeted, _ = run(capsys, certify)
+    assert code == 0
+    path = tmp_path / "cert.json"
+    code, _, err = run(capsys, [*certify, "--budget", "100000", "--out", str(path)])
+    assert code == 0 and path.read_text() == unbudgeted
+    assert "100000" in manifest(err)["argv"]
+    code, out, _ = run(capsys, ["verify", "--cert", str(path), "--budget", "100000"])
+    assert code == 0 and json.loads(out)["status"] == "VALID"
 
 
 @pytest.mark.parametrize(
     "args",
-    [
-        ["--family", "er", "--q", "5", "--pattern", "c4", "--t", "8"],  # t below alpha = 10
-        ["--family", "er", "--q", "5", "--pattern", "c4", "--budget", "100000"],
-    ],
+    [["--family", "er", "--q", "5", "--pattern", "c4", "--t", "8"]],  # t below alpha = 10
 )
 def test_certify_builds_symmetry_only_for_unbudgeted_default_t(capsys, monkeypatch, args):
-    # an explicit t is searched for as it stands, and a budget keeps the
-    # plain search node for node: neither needs the reflections
+    # an explicit t is searched for as it stands, without the reflections
     def refused(*a):
         raise AssertionError("reflections built")
 

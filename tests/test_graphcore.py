@@ -467,7 +467,7 @@ def reference_clique_search(G: Graph, budget, target, complement=False):
 
     n = G.n
     if n == 0:
-        return 0, (), "complete"
+        return 0, (), "complete", 0
     sign = 1 if complement else -1
     perm = sorted(range(n), key=lambda v: (sign * G.degrees[v], v))
     inv = sorted(range(n), key=perm.__getitem__)
@@ -483,11 +483,11 @@ def reference_clique_search(G: Graph, budget, target, complement=False):
         status = "target"
     except Exhausted:
         status = "budget"
-    return st.best, tuple(sorted(perm[v] for v in st.best_set)), status
+    return st.best, tuple(sorted(perm[v] for v in st.best_set)), status, st.nodes
 
 
 def reference_interval(G: Graph, budget, complement: bool) -> gc.AlphaResult:
-    best, witness, status = reference_clique_search(G, budget, None, complement)
+    best, witness, status, _ = reference_clique_search(G, budget, None, complement)
     if status == "complete":
         return gc.AlphaResult(best, best, witness, True)
     # the colours of the searched graph, in its own labels, bound its clique number
@@ -498,7 +498,8 @@ def reference_interval(G: Graph, budget, complement: bool) -> gc.AlphaResult:
 
 def test_clique_search_matches_reference():
     # the same search tree as the reference, node for node: every size,
-    # witness and status, including the node at which a budget runs out
+    # witness, status and node count, including the node at which a budget
+    # runs out
     rng = random.Random(1509)
     statuses = Counter()
     for _ in range(120):
@@ -526,7 +527,7 @@ def test_find_clique_seeks_only_s_sets_with_the_same_witness():
             for complement in (False, True):
                 find = gc.find_independent_set if complement else gc.find_clique
                 for budget in (None, 4, 30, 300):
-                    best, witness, status = gc._max_clique_search(G, budget, s, complement)
+                    best, witness, status, _ = gc._max_clique_search(G, budget, s, complement)
                     try:
                         got = find(G, s, budget)
                     except gc.UndecidedError:
@@ -662,35 +663,43 @@ def test_orbital_alpha_bip_7_3():
     assert G.subgraph_edge_count(sum(1 << v for v in result.witness)) == 0
 
 
-def test_budgeted_searches_ignore_symmetry(monkeypatch):
-    # a budget counts the nodes of the plain engine: the same calls of it,
-    # and so the same node at which the budget runs out
-    G = geo.bip_graph(11, 2, "symmetrized")
-    symmetry = gc.Automorphisms(G, geo.bip_reflections(11, 2))
+def test_budgeted_orbital_searches_share_the_budget(monkeypatch):
+    # a budget bounds the orbital leaf searches together; each interval holds
+    # alpha, its witness is an independent set, and a decided search for an
+    # independent t-set gives the unbudgeted answer
     search = gc._max_clique_search
-    calls = []
+    used = []
 
     def recorded(*args):
-        calls.append((args, search(*args)))
-        return calls[-1][1]
-
-    def outcomes(symmetry):
-        got = []
-        for budget in (1, 30, 300, 3000, 10**6):
-            got.append(gc.independence_number(G, budget, symmetry))
-            try:
-                got.append(gc.find_independent_set(G, 24, budget, symmetry))
-            except gc.UndecidedError as exc:
-                got.append(str(exc))
-        return got
+        result = search(*args)
+        used.append(result[3])
+        return result
 
     monkeypatch.setattr(gc, "_max_clique_search", recorded)
-    plain = outcomes(None)
-    plain_calls, calls[:] = calls[:], []
-    monkeypatch.setattr(gc, "_orbital_alpha", None)  # any orbital call fails
-    assert outcomes(symmetry) == plain
-    assert calls == plain_calls
-    assert [result.exact for result in plain[::2]] == [False, False, False, False, True]
+    for G, perms in (
+        (geo.bip_graph(11, 2, "symmetrized"), geo.bip_reflections(11, 2)),
+        (geo.polarity_graph(7), geo.polarity_reflections(7)),
+    ):
+        symmetry = gc.Automorphisms(G, perms)
+        alpha = gc.independence_number(G, symmetry=symmetry).value
+        sets = {t: gc.find_independent_set(G, t, symmetry=symmetry) for t in (alpha, alpha + 1)}
+        exact = []
+        for budget in (1, 30, 300, 3000, 10**6):
+            used.clear()
+            result = gc.independence_number(G, budget, symmetry)
+            assert result.lower <= alpha <= result.upper, (G, budget)
+            assert is_sorted_independent_set(G, result.witness, result.lower), (G, budget)
+            assert sum(used) <= budget + 1, (G, budget)
+            exact.append(result.exact)
+            for t, found in sets.items():
+                used.clear()
+                try:
+                    assert gc.find_independent_set(G, t, budget, symmetry) == found
+                except gc.UndecidedError:
+                    pass
+                assert sum(used) <= budget + 1, (G, budget, t)
+        # the plain search on all of G is still undecided after 3000 nodes
+        assert not exact[0] and exact[3:] == [True, True], G
 
 
 def test_drop_vertex_matches_induced():

@@ -216,37 +216,6 @@ def test_alon_boppana():
         sp.alon_boppana_check(rp, 0)
 
 
-# --- mixing -------------------------------------------------------------------
-
-
-def test_mixing_examples():
-    P = petersen()
-    r = sp.spectrum(P)
-    full = sp.mixing_check(P, range(10), r)
-    assert full.ok and full.deviation == pytest.approx(0.0, abs=1e-9)
-    single = sp.mixing_check(P, [3], r)
-    assert single.ok and single.deviation == pytest.approx(-0.3)
-    assert single.bound[0] <= single.deviation <= single.bound[1]
-
-
-def test_mixing_random_subsets():
-    G = cycle_graph(24)
-    r = sp.spectrum(G)
-    rng = random.Random(99)
-    for _ in range(200):
-        X = rng.sample(range(24), rng.randint(1, 24))
-        assert sp.mixing_check(G, X, r).ok
-
-
-def test_mixing_guards():
-    G = Graph.from_edges(3, [(0, 1)])
-    with pytest.raises(ValueError):
-        sp.mixing_check(G, [0, 1])
-    P = petersen()
-    with pytest.raises(ValueError):
-        sp.mixing_check(P, [99], sp.spectrum(P))
-
-
 # --- ratio bound ---------------------------------------------------------------
 
 
@@ -277,18 +246,3 @@ def test_hoffman_guards():
         sp.hoffman_bound(sp.spectrum(Graph.from_edges(3, [(0, 1)])))
     with pytest.raises(ValueError):
         sp.hoffman_bound(sp.spectrum(Graph(3, [0, 0, 0])))  # edgeless: d = lam_min
-
-
-# --- triangle trace --------------------------------------------------------------
-
-
-def test_triangle_trace():
-    assert sp.triangle_trace_check(sp.spectrum(complete_bipartite(3, 3)), True)
-    assert sp.triangle_trace_check(sp.spectrum(cycle_graph(5)), True)
-    assert sp.triangle_trace_check(
-        sp.spectrum(geo.bip_graph(5, 2, "symmetrized")), True
-    )
-    K4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    # a false triangle-freeness claim is caught by the cube trace
-    assert not sp.triangle_trace_check(sp.spectrum(K4), True)
-    assert sp.triangle_trace_check(sp.spectrum(K4), False)
