@@ -23,7 +23,6 @@ from .geometry import (
     polarity_reflections,
     unital_line_hypergraph,
 )
-from .gf import spec_for
 from .graphcore import (
     AlphaResult,
     Automorphisms,
@@ -161,7 +160,7 @@ def family_symmetry(family: str, params: dict, G: Graph) -> Automorphisms | None
     """Verified reflections of G = build_family(family, params), for the
     exact searches on the whole of G; None for the families without them:
     even q, the canonical bip variant and unital-transfer."""
-    if family == "er" and spec_for(params["q"]).q % 2:
+    if family == "er" and params["q"] % 2:
         return Automorphisms(G, polarity_reflections(params["q"]))
     if family == "bip" and params.get("variant", "symmetrized") == "symmetrized":
         return Automorphisms(G, bip_reflections(params["q"], params["s"]))

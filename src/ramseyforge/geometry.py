@@ -109,9 +109,8 @@ def _reflection_generators(spec: FieldSpec, V: np.ndarray, weights) -> list[tupl
     are the two levels of orbits that graphcore's orbital branching uses."""
     if spec.q % 2 == 0:
         raise ValueError("reflections need an odd field order")
-    add, mul, neg, chi = op_tables(spec)
+    add, mul, neg, chi, inv = op_tables(spec)
     n, q, one = len(V), spec.q, spec.one
-    inv = np.argmax(mul == one, axis=1)
     minus_two = neg[add[one, one]]
     vertex_of = np.full(q ** V.shape[1], -1, dtype=np.int64)
     vertex_of[_keys(V, q)] = np.arange(n)
@@ -172,8 +171,7 @@ def _polar_lines(spec: FieldSpec, X: np.ndarray) -> np.ndarray:
     """Row i lists the vertex indices of the q+1 points y of PG(2, q) with
     X[i].y = 0, solved for with one coordinate free, and indexed by the order
     of _point_rows: (0,0,1) is 0, (0,1,b) is 1 + b and (1,a,b) is 1 + q + aq + b."""
-    add, mul, neg, _ = op_tables(spec)
-    inv = np.argmax(mul == spec.one, axis=1)
+    add, mul, neg, _, inv = op_tables(spec)
     q = spec.q
     free = np.arange(q, dtype=np.int32)[None, :]  # the free coordinate of the line's points
     x0, x1, x2 = (c[:, None] for c in X.T)
@@ -212,7 +210,7 @@ def polarity_reflections(q) -> list[tuple[int, ...]]:
 def polarity_absolute_points(q) -> tuple[int, ...]:
     """Vertex indices of the absolute points (u.u = 0) of polarity_graph(q)."""
     spec, P, dot = _polarity_setup(q)
-    add, mul, _, _ = op_tables(spec)
+    add, mul, _, _, _ = op_tables(spec)
     return tuple(np.flatnonzero(_form_diagonal(P, dot, add, mul) == 0).tolist())
 
 
@@ -227,10 +225,9 @@ def hermitian_unital(q) -> LinearHypergraph:
     spec0 = spec_for(q)
     if spec0.q > MAX_UNITAL_ORDER:
         raise ValueError(f"hermitian unital supported for q <= {MAX_UNITAL_ORDER}")
-    q = spec0.q
     spec = spec_for(q * q)
     P = _point_rows(2, spec)
-    add, mul, _, _ = op_tables(spec)
+    add, mul, _, _, _ = op_tables(spec)
     N = _powers(mul, q + 1, spec.one)[P]  # the norm x^(q+1) of each coordinate
     on_curve = add[add[N[:, 0], N[:, 1]], N[:, 2]] == 0
     curve = np.nonzero(on_curve)[0]
@@ -284,7 +281,7 @@ def _square_type(q, s: int) -> tuple[FieldSpec, np.ndarray, tuple[int, ...]]:
         raise ValueError(f"s must be in 1..{MAX_CHARACTER_DIM}")
     weights = (smallest_nonresidue(spec),) + (spec.one,) * s
     P = _point_rows(s, spec)
-    add, mul, _, chi = op_tables(spec)
+    add, mul, _, chi, _ = op_tables(spec)
     return spec, P[chi[_form_diagonal(P, weights, add, mul)] == 1], weights
 
 
@@ -303,7 +300,7 @@ def bip_graph(q, s: int, variant: str = "canonical") -> Graph:
     if variant not in BIP_VARIANTS:
         raise ValueError(f"variant must be one of {BIP_VARIANTS}")
     spec, V, weights = _square_type(q, s)
-    add, mul, _, chi = op_tables(spec)
+    add, mul, _, chi, _ = op_tables(spec)
     n = len(V)
     arcs = []
     step = max(1, 2**16 // n)  # rows per block: about 2**16 form values

@@ -26,10 +26,6 @@ sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 class UndecidedError(RuntimeError):
     """A solver ran out of budget before reaching a definite answer."""
 
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
 
 def _iter_bits(mask: int) -> Iterator[int]:
     """The set bits of mask, ascending; the mask is shifted past each one."""
@@ -685,29 +681,9 @@ class AlphaResult:
     def value(self) -> int:
         if not self.exact:
             raise UndecidedError(
-                f"independence number only bracketed in [{self.lower}, {self.upper}]",
-                partial=self,
+                f"independence number only bracketed in [{self.lower}, {self.upper}]"
             )
         return self.lower
-
-
-def _clique_number(
-    G: Graph, budget: int | None, complement: bool, symmetry: Automorphisms | None = None
-) -> AlphaResult:
-    if symmetry is None:
-        best, witness, status, _ = _max_clique_search(G, budget, None, complement)
-    else:  # only independence searches are given automorphisms
-        best, witness, status = _orbital_alpha(G, symmetry, 0, None, budget)
-    if status == "complete":
-        return AlphaResult(best, best, witness, True)
-    # the colors of a greedy coloring of the searched graph bound its
-    # clique number; G.n > 0 here, as the empty graph always completes
-    others = G.rows if complement else [~row for row in G.rows]
-    return AlphaResult(best, len(_color_classes((1 << G.n) - 1, others)), witness, False)
-
-
-def max_clique(G: Graph, budget: int | None = None) -> AlphaResult:
-    return _clique_number(G, budget, False)
 
 
 def independence_number(
@@ -720,11 +696,19 @@ def independence_number(
     Given automorphisms of G, alpha and its witness come from orbital
     branching, whose leaf searches share the budget; the interval's upper
     end is the same greedy-colouring bound of all of G."""
-    result = _clique_number(G, budget, True, symmetry)
+    if symmetry is None:
+        best, witness, status, _ = _max_clique_search(G, budget, None, True)
+    else:
+        best, witness, status = _orbital_alpha(G, symmetry, 0, None, budget)
+    upper = best
+    if status != "complete":
+        # the colors of a greedy coloring of the complement bound its clique
+        # number; G.n > 0 here, as the empty graph always completes
+        upper = len(_color_classes((1 << G.n) - 1, G.rows))
     floor = -(-G.n // ((max(G.degrees) if G.n else 0) + 1))
-    if result.upper < floor:  # pragma: no cover - would be a solver bug
+    if upper < floor:  # pragma: no cover - would be a solver bug
         raise AssertionError("independence bound fell below the Turan floor")
-    return result
+    return AlphaResult(best, upper, witness, status == "complete")
 
 
 def _find_clique(

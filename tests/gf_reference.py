@@ -4,13 +4,49 @@ An oracle for the numpy operation tables of ramseyforge.gf that shares none
 of their code: an Element is a tuple of coefficients (c0 first), multiplied
 as polynomials and reduced by the field's modulus one product at a time,
 with inverses as Lagrange powers a^(q-2).  Element i of the canonical order
-has the base-p digits of i, leading digit first, as its coefficients.  Only
-the tests import this module.
+has the base-p digits of i, leading digit first, as its coefficients.  The
+module also proves a modulus irreducible by trial division, and lists the
+orders the package has tables for (ORDERS), from its own primality test.
+Only the tests import this module; it takes FieldSpec records from gf, but
+none of its functions.
 """
 
 from __future__ import annotations
 
-from ramseyforge.gf import FieldSpec, _poly_mod
+from itertools import product
+
+from ramseyforge.gf import MODULI, FieldSpec
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+# every prime below 170 and every order with a modulus on record
+ORDERS = sorted({q for q in range(170) if is_prime(q)} | set(MODULI))
+
+
+def poly_mod(num, den, p: int) -> list[int]:
+    """Remainder of num modulo the monic den over GF(p), coefficients low to
+    high, as len(den) - 1 coefficients."""
+    rem = [c % p for c in num]
+    d = len(den) - 1
+    while len(rem) > d:
+        c = rem.pop()  # the leading term, cancelled by c * x^shift * den
+        shift = len(rem) - d
+        for j in range(d):
+            rem[shift + j] = (rem[shift + j] - c * den[j]) % p
+    return rem + [0] * (d - len(rem))
+
+
+def is_irreducible(mod, p: int) -> bool:
+    """True when the monic mod has no monic factor of degree 1..deg/2."""
+    k = len(mod) - 1
+    return mod[-1] == 1 and all(
+        any(poly_mod(mod, [*lower, 1], p))
+        for deg in range(1, k // 2 + 1)
+        for lower in product(range(p), repeat=deg)
+    )
 
 
 class Element:
@@ -44,7 +80,7 @@ class Element:
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(o.coeffs):
                 prod[i + j] += a * b
-        return Element(spec, _poly_mod([c % spec.p for c in prod], spec.modulus, spec.p))
+        return Element(spec, poly_mod(prod, spec.modulus, spec.p))
 
     __rmul__ = __mul__
 

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+import gf_reference
 import graph_reference as ref
 from ramseyforge import cli
 from ramseyforge import geometry as geo
@@ -72,7 +73,7 @@ def test_fields_output_pinned(capsys):
     # every tabled order, then the largest prime under the cap: one digest
     # over the stdouts in that order
     digest = hashlib.sha256()
-    for q in [*gf.modulus_table(), 9973]:
+    for q in [*gf_reference.ORDERS, 9973]:
         code, out, _ = run(capsys, ["fields", "--q", str(q)])
         assert code == 0
         digest.update(out.encode())

@@ -16,7 +16,7 @@ import pytest
 import gf_reference as ref
 from ramseyforge import geometry as geo
 from ramseyforge import graphcore as gc
-from ramseyforge.gf import modulus_table, op_tables, spec_for
+from ramseyforge.gf import op_tables, spec_for
 
 
 # --- projective points -------------------------------------------------------
@@ -111,7 +111,7 @@ def form_values(spec, L, R, weights):
     """Reference, one row of L at a time: the index of Q(x, y) for each x
     in L and y in R, summing weights[j] x_j y_j through the field's index
     tables (the row-by-row form evaluation the constructions once ran)."""
-    add, mul, _, _ = op_tables(spec)
+    add, mul, _, _, _ = op_tables(spec)
     for x in L:
         acc = np.zeros(len(R), dtype=np.int64)
         for j, w in enumerate(weights):
@@ -134,7 +134,7 @@ def polarity_rows_by_form(q, vertices):
     ]
 
 
-POLARITY_ORDERS = [q for q in modulus_table() if q <= geo.MAX_POLARITY_ORDER]
+POLARITY_ORDERS = [q for q in ref.ORDERS if q <= geo.MAX_POLARITY_ORDER]
 
 
 @pytest.mark.parametrize("q", POLARITY_ORDERS)

@@ -363,15 +363,6 @@ def test_budget_interval_independence_bound_from_complement():
     assert res.lower <= 10 <= res.upper
 
 
-def test_budget_interval_clique_bound_from_graph():
-    # three disjoint K_10: omega = 10, while a coloring of the complement
-    # K_{10,10,10} needs only 3 colors
-    for G, omega in ((complete_tripartite(10), 3), (complete_tripartite(10).complement(), 10)):
-        res = gc.max_clique(G, budget=1)
-        assert not res.exact
-        assert res.lower <= omega <= res.upper
-
-
 def test_independence_queries_build_no_complement(monkeypatch):
     def refuse(self):
         raise AssertionError("complement graph built")
@@ -388,8 +379,8 @@ def test_independence_queries_build_no_complement(monkeypatch):
 
 def test_independence_equals_clique_of_complement():
     # the complement is searched inside the search frame; every answer,
-    # witness, interval and budget outcome must equal the search on the
-    # complement graph
+    # witness and budget outcome must equal the search on the complement
+    # graph
     undecided = []
 
     def outcome(query, *args):
@@ -406,7 +397,6 @@ def test_independence_equals_clique_of_complement():
         C = G.complement()
         alpha = gc.independence_number(G).value
         for budget in (None, 1, 3, 50):
-            assert gc.independence_number(G, budget) == gc.max_clique(C, budget)
             for t in range(alpha + 2):
                 got = outcome(gc.find_independent_set, G, t, budget)
                 assert got == outcome(gc.find_clique, C, t, budget)
@@ -510,7 +500,6 @@ def test_clique_search_matches_reference():
                     got = gc._max_clique_search(G, budget, target, complement)
                     assert got == reference_clique_search(G, budget, target, complement)
                     statuses[got[2]] += 1
-            assert gc.max_clique(G, budget) == reference_interval(G, budget, False)
             assert gc.independence_number(G, budget) == reference_interval(G, budget, True)
     assert min(statuses[s] for s in ("complete", "target", "budget")) > 100
 
