@@ -292,28 +292,29 @@ def pipeline_unital(
     t: int | None = None,
     budget: int | None = None,
 ) -> RamseyCertificate:
-    """Color the unital line hypergraph `trials` times, certify each colored
-    graph k4-free with independence number < t, and return the certificate
-    with the largest witness (ties to the smallest trial seed).  The last
-    round of each trial's deletion loop is its one proof of alpha < t.
-    H's strong k4-freeness, the transference hypothesis, is not re-proved:
-    its conclusion, a k4-free trial graph, is checked on every trial."""
+    """Color the unital line hypergraph `trials` times, by build_family's
+    recipe that verify replays, certify each colored graph k4-free with
+    independence number < t, and return the certificate with the largest
+    witness (ties to the smallest trial seed).  The last round of each
+    trial's deletion loop is its one proof of alpha < t.  The hypergraph's
+    strong k4-freeness, the transference hypothesis, is not re-proved: its
+    conclusion, a k4-free trial graph, is checked on every trial."""
     if q not in PIPELINE_ORDERS:
         raise ValueError(f"q must be one of {PIPELINE_ORDERS}")
     if trials < 1:
         raise ValueError("need trials >= 1")
-    H = unital_line_hypergraph(q)
     k4 = ForbiddenPattern.clique(4)
     if t is None:
+        H = unital_line_hypergraph(q)
         t = t_transfer(H.n, H.r, H.regular_degree())
     best = None
     best_key = None
     for i in range(trials):
         trial_seed = derive_seed(seed, i)
-        G = bichromatic_subgraph(H, random_coloring(H, trial_seed))
+        params = {"q": q, "colorSeed": trial_seed}
+        G = build_family("unital-transfer", params)
         cert = sample_and_delete(
-            G, k4, t, 1.0, trial_seed, "unital-transfer", {"q": q, "colorSeed": trial_seed},
-            budget=budget,
+            G, k4, t, 1.0, trial_seed, "unital-transfer", params, budget=budget
         )
         key = (cert.witness_count, -trial_seed)
         if best_key is None or key > best_key:

@@ -202,7 +202,7 @@ def _cmd_transfer(args, run: _Run) -> int:
     H = unital_line_hypergraph(args.q)
     pattern = ForbiddenPattern.parse(args.pattern) if args.pattern else None
     rep = concentration_check(H, args.trials, args.seed, pattern=pattern, samples=args.samples)
-    colored = derive_transfer_params(H).colored
+    colored = derive_transfer_params(H)
     lines = [
         _canonical(
             {

@@ -1,9 +1,10 @@
 """Finite-geometry constructions.
 
-The orthogonal polarity graph on PG(2,q), the Hermitian unital with its dual
-line hypergraph, and the quadratic-character graphs on the square-type points
-of PG(s,q).  Points are rows of element indices (see gf), and every form and
-polar line is evaluated by gathering through the field's operation tables.
+The orthogonal polarity graph on PG(2,q), the line hypergraph (the dual) of
+the Hermitian unital, and the quadratic-character graphs on the square-type
+points of PG(s,q).  Points are rows of element indices (see gf), and every
+form and polar line is evaluated by gathering through the field's operation
+tables.
 """
 
 from __future__ import annotations
@@ -207,21 +208,14 @@ def polarity_reflections(q) -> list[tuple[int, ...]]:
     return _reflection_generators(spec, P, dot)
 
 
-def polarity_absolute_points(q) -> tuple[int, ...]:
-    """Vertex indices of the absolute points (u.u = 0) of polarity_graph(q)."""
-    spec, P, dot = _polarity_setup(q)
-    add, mul, _, _, _ = op_tables(spec)
-    return tuple(np.flatnonzero(_form_diagonal(P, dot, add, mul) == 0).tolist())
-
-
 # -- Hermitian unital -------------------------------------------------------
 
 
-def hermitian_unital(q) -> LinearHypergraph:
-    """The Hermitian unital of order q: the q^3+1 points of the curve
-    norm(x0) + norm(x1) + norm(x2) = 0 in PG(2, q^2), numbered in point
-    order, with one block (hyperedge) per secant line: q+1 points each,
-    q^2(q^2-q+1) blocks in total."""
+def _unital_blocks(q) -> np.ndarray:
+    """The Hermitian unital of order q as one flat array of curve indices:
+    the curve norm(x0) + norm(x1) + norm(x2) = 0 in PG(2, q^2) has q^3+1
+    points, numbered in point order, and block i, the points of the i-th
+    secant line, is entries i(q+1) .. i(q+1)+q."""
     spec0 = spec_for(q)
     if spec0.q > MAX_UNITAL_ORDER:
         raise ValueError(f"hermitian unital supported for q <= {MAX_UNITAL_ORDER}")
@@ -243,26 +237,26 @@ def hermitian_unital(q) -> LinearHypergraph:
         raise AssertionError(f"line meets curve in {counts[odd][0]} points")
     secants = counts == q + 1
     curve_index = np.cumsum(on_curve) - 1
-    blocks = curve_index[lines[secants][hits[secants]]].reshape(-1, q + 1)
-    unital = LinearHypergraph(len(curve), blocks.tolist())  # it sorts each block
-    # a 2-(q^3+1, q+1, 1) design: q^2 blocks through every point, and the
-    # blocks, any two sharing at most one point, cover every pair of points
-    b, v = len(unital.edges), len(curve)
-    if (
-        not unital.is_regular()
-        or unital.degrees[0] != q * q
-        or b != q * q * (q * q - q + 1)
-        or b * (q + 1) * q != v * (v - 1)
-    ):
-        raise AssertionError("unital block structure is not a 2-design")
-    return unital
+    return curve_index[lines[secants][hits[secants]]]
 
 
 def unital_line_hypergraph(q) -> LinearHypergraph:
     """Dual of the Hermitian unital: one vertex per block, one hyperedge per
-    unital point collecting the q^2 blocks through it."""
-    unital = hermitian_unital(q)
-    return LinearHypergraph(len(unital.edges), unital.incidence())
+    unital point collecting the q^2 blocks through it, in ascending order.
+    Two points share at most one block exactly when two blocks share at
+    most one point, so the dual's linearity check is the unital's."""
+    blocks = _unital_blocks(q)  # the PG(2, q^2) arrays are freed here
+    v, b = q**3 + 1, len(blocks) // (q + 1)
+    # a 2-(q^3+1, q+1, 1) design: q^2 blocks through every point, and the
+    # blocks, any two sharing at most one point, cover every pair of points
+    if (
+        (np.bincount(blocks, minlength=v) != q * q).any()
+        or b != q * q * (q * q - q + 1)
+        or b * (q + 1) * q != v * (v - 1)
+    ):
+        raise AssertionError("unital block structure is not a 2-design")
+    through = np.argsort(blocks, kind="stable").reshape(v, q * q) // (q + 1)
+    return LinearHypergraph(b, through.tolist())
 
 
 # -- quadratic-character graphs ---------------------------------------------

@@ -1,5 +1,5 @@
 """Graph and linear-hypergraph core: exact forbidden-subgraph checkers, an
-exact independence-number solver, shadow graphs, and edge-list interchange.
+exact independence-number solver, and edge-list interchange.
 
 Graphs are immutable bitset adjacency rows (Python ints), so all set algebra
 in the solvers is word-parallel.  Every solver is deterministic: vertex
@@ -393,14 +393,6 @@ class LinearHypergraph:
         if not self.is_regular():
             raise ValueError("hypergraph is not regular")
         return self.degrees[0]
-
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """For each vertex, the indices of the hyperedges containing it."""
-        inc: list[list[int]] = [[] for _ in range(self.n)]
-        for idx, e in enumerate(self.edges):
-            for v in e:
-                inc[v].append(idx)
-        return tuple(tuple(x) for x in inc)
 
     def __repr__(self) -> str:
         return f"LinearHypergraph(n={self.n}, edges={len(self.edges)}, r={self.r})"
@@ -916,15 +908,6 @@ def triangle_count(G: Graph) -> int:
     return total
 
 
-# --- hypergraphs ---------------------------------------------------------------
-
-
-def shadow_graph(H: LinearHypergraph) -> Graph:
-    """Graph joining every pair of vertices that share a hyperedge."""
-    # symmetric, loopless and in range: a row ORs one mask per hyperedge
-    return Graph._valid(H.n, _shadow_rows(H.n, H.edges))
-
-
 # --- text interchange ---------------------------------------------------------
 
 
@@ -956,18 +939,18 @@ _COMMENT_LINE = re.compile(r"^[^\S\n]*#.*$", re.MULTILINE)
 _READ_CHARS = 2**16
 
 
-def _read_header(fh, kind: str) -> dict:
+def _read_header(fh) -> dict:
     """The '# {json}' header: a JSON object whose "n" is an int in
     0..MAX_READ_VERTICES, else ValueError."""
     first = fh.readline()
     if not first.startswith("#"):
-        raise ValueError(f"missing {kind} header line")
+        raise ValueError("missing graph header line")
     header = json.loads(first[1:].strip())
     if not isinstance(header, dict):
-        raise ValueError(f"{kind} header must be a JSON object")
+        raise ValueError("graph header must be a JSON object")
     n = header.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= MAX_READ_VERTICES:
-        raise ValueError(f"{kind} header needs an integer n in 0..{MAX_READ_VERTICES}")
+        raise ValueError(f"graph header needs an integer n in 0..{MAX_READ_VERTICES}")
     return header
 
 
@@ -986,7 +969,7 @@ def read_graph(fh) -> tuple[Graph, dict]:
     or is skipped: blank lines, and lines whose first word starts with '#'.
     A '#' after a vertex is not a comment.  A malformed line is named by its
     file line number, the header being line 1."""
-    header = _read_header(fh, "graph")
+    header = _read_header(fh)
     n = header["n"]
     blocks = []
     line = 2  # the file line the next block starts on
@@ -1018,8 +1001,3 @@ def write_hypergraph(H: LinearHypergraph, fh, header: dict | None = None) -> Non
     for e in H.edges:
         fh.write(" ".join(str(v) for v in e) + "\n")
 
-
-def read_hypergraph(fh) -> tuple[LinearHypergraph, dict]:
-    header = _read_header(fh, "hypergraph")
-    lines = (words for words in map(str.split, fh) if words and words[0][0] != "#")
-    return LinearHypergraph(header["n"], [tuple(map(int, words)) for words in lines]), header

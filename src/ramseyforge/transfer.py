@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .containers import PseudorandomParams, check_pseudorandom
-from .graphcore import ForbiddenPattern, Graph, LinearHypergraph, is_pattern_free, shadow_graph
+from .graphcore import ForbiddenPattern, Graph, LinearHypergraph, is_pattern_free
 
 _MASK64 = (1 << 64) - 1
 _WEYL = 0x9E3779B97F4A7C15
@@ -39,25 +39,11 @@ def _slot_bit(seed_state: int, edge_index: int, slot: int) -> int:
     return _splitmix64(seed_state ^ ((edge_index << 20) | slot)) >> 63
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
-    """One independent fair 2-coloring per hyperedge.
-
-    bits[e] holds one bit per vertex slot of hyperedge e (slot order =
-    position in the edge tuple).  A vertex may receive different colors in
-    different hyperedges; the draws are per-edge, not per-vertex.
-    """
-
-    bits: tuple[int, ...]
-    seed: int
-
-    def color(self, edge_index: int, slot: int) -> int:
-        return self.bits[edge_index] >> slot & 1
-
-
-def random_coloring(H: LinearHypergraph, seed: int) -> EdgeColoring:
-    """Seeded coloring: the bit of (edge e, slot j) is a fixed function of
-    (seed, e, j), independent and fair across slots."""
+def random_coloring(H: LinearHypergraph, seed: int) -> tuple[int, ...]:
+    """One independent fair 2-coloring per hyperedge, as one bit mask per
+    hyperedge: bit j of mask e colors slot j (position j in the edge tuple)
+    of hyperedge e, and is a fixed function of (seed, e, j).  A vertex may
+    get different colors in different hyperedges."""
     if H.r >= 1 << 20:
         raise ValueError("hyperedge size out of range for slot derivation")
     state = _splitmix64(seed & _MASK64)
@@ -67,16 +53,16 @@ def random_coloring(H: LinearHypergraph, seed: int) -> EdgeColoring:
         for j in range(H.r):
             b |= _slot_bit(state, e, j) << j
         bits.append(b)
-    return EdgeColoring(tuple(bits), seed)
+    return tuple(bits)
 
 
-def bichromatic_subgraph(H: LinearHypergraph, coloring: EdgeColoring) -> Graph:
+def bichromatic_subgraph(H: LinearHypergraph, coloring: tuple[int, ...]) -> Graph:
     """Subgraph of the shadow keeping exactly the pairs whose (unique)
     common hyperedge colors their two ends differently."""
-    if len(coloring.bits) != len(H.edges):
+    if len(coloring) != len(H.edges):
         raise ValueError("coloring does not match the hypergraph")
     rows = [0] * H.n
-    for edge, b in zip(H.edges, coloring.bits):
+    for edge, b in zip(H.edges, coloring):
         ones = sum(1 << v for j, v in enumerate(edge) if b >> j & 1)
         zeros = sum(1 << v for j, v in enumerate(edge) if not b >> j & 1)
         for v in edge:
@@ -85,30 +71,22 @@ def bichromatic_subgraph(H: LinearHypergraph, coloring: EdgeColoring) -> Graph:
     return Graph._valid(H.n, rows)
 
 
-class TransferParams(NamedTuple):
-    shadow: PseudorandomParams
-    colored: PseudorandomParams
-
-
-def derive_transfer_params(H: LinearHypergraph) -> TransferParams:
-    """Shadow targets alpha = dr/2n, m = ceil(2n/r); the coloring keeps
-    each pair with probability 1/2, so the subgraph targets halve alpha."""
+def derive_transfer_params(H: LinearHypergraph) -> PseudorandomParams:
+    """Targets of the colored subgraph: the shadow's alpha = dr/2n and
+    m = ceil(2n/r), with alpha halved, as the coloring keeps each pair
+    with probability 1/2."""
     d = H.regular_degree()
     n, r = H.n, H.r
     alpha = Fraction(d * r, 2 * n)
-    if alpha > 1:
-        alpha = Fraction(1)  # clamp: denser-than-complete never arises from linearity
-    m = math.ceil(Fraction(2 * n, r))
-    shadow = PseudorandomParams(alpha, m, "transfer-derived")
-    colored = PseudorandomParams(alpha / 2, m, "transfer-derived")
-    return TransferParams(shadow, colored)
+    if alpha > 1:  # only an r = 1 hypergraph that repeats a hyperedge has dr > 2n
+        alpha = Fraction(1)
+    return PseudorandomParams(alpha / 2, math.ceil(Fraction(2 * n, r)), "transfer-derived")
 
 
 class TrialResult(NamedTuple):
     trial: int
     seed: int
     edges_kept: int
-    fraction: float
     fraction_ok: bool
     pattern_free: bool | None
     pseudorandom_sampled: bool
@@ -116,9 +94,7 @@ class TrialResult(NamedTuple):
 
 @dataclass(frozen=True)
 class TransferReport:
-    params: TransferParams
     shadow_edges: int
-    hyperedge_count: int
     expected_kept_per_edge: float
     mean_kept_per_edge: float
     trials: tuple[TrialResult, ...]
@@ -140,29 +116,28 @@ def concentration_check(
     Expected kept pairs per hyperedge is C(r,2)/2 exactly: each pair of
     slots differs with probability 1/2.
     """
-    shadow = shadow_graph(H)
-    if shadow.edge_count < MIN_CONCENTRATION_SHADOW_EDGES:
+    # a linear hypergraph's hyperedges share no pair
+    shadow_edges = len(H.edges) * math.comb(H.r, 2)
+    if shadow_edges < MIN_CONCENTRATION_SHADOW_EDGES:
         raise ValueError(
             f"concentration check needs >= {MIN_CONCENTRATION_SHADOW_EDGES} shadow edges"
         )
     if trials < 1:
         raise ValueError("need at least one trial")
-    params = derive_transfer_params(H)
+    colored = derive_transfer_params(H)
     results = []
     kept_total = 0
     for t in range(trials):
         trial_seed = derive_seed(seed, t)
-        coloring = random_coloring(H, trial_seed)
-        G = bichromatic_subgraph(H, coloring)
+        G = bichromatic_subgraph(H, random_coloring(H, trial_seed))
         kept = G.edge_count
         kept_total += kept
-        fraction = kept / shadow.edge_count
         free = None
         if pattern is not None:
             free = is_pattern_free(G, pattern)[0]
         pseudo = check_pseudorandom(
             G,
-            params.colored,
+            colored,
             mode="sampled",
             samples=samples,
             seed=derive_seed(trial_seed, 2),
@@ -172,22 +147,16 @@ def concentration_check(
                 trial=t,
                 seed=trial_seed,
                 edges_kept=kept,
-                fraction=fraction,
-                fraction_ok=0.4 <= fraction <= 0.6,
+                fraction_ok=0.4 <= kept / shadow_edges <= 0.6,
                 pattern_free=free,
                 pseudorandom_sampled=pseudo,
             )
         )
-    edge_count = len(H.edges)
-    expected = math.comb(H.r, 2) / 2.0
-    report = TransferReport(
-        params=params,
-        shadow_edges=shadow.edge_count,
-        hyperedge_count=edge_count,
-        expected_kept_per_edge=expected,
-        mean_kept_per_edge=kept_total / (trials * edge_count),
+    return TransferReport(
+        shadow_edges=shadow_edges,
+        expected_kept_per_edge=math.comb(H.r, 2) / 2.0,
+        mean_kept_per_edge=kept_total / (trials * len(H.edges)),
         trials=tuple(results),
         all_fractions_ok=all(r.fraction_ok for r in results),
         all_pattern_free=None if pattern is None else all(r.pattern_free for r in results),
     )
-    return report

@@ -6,7 +6,8 @@ as polynomials and reduced by the field's modulus one product at a time,
 with inverses as Lagrange powers a^(q-2).  Element i of the canonical order
 has the base-p digits of i, leading digit first, as its coefficients.  The
 module also proves a modulus irreducible by trial division, and lists the
-orders the package has tables for (ORDERS), from its own primality test.
+orders the package has tables for (ORDERS), from its own primality test,
+and lists the points of PG(s, q) and the absolute points of PG(2, q).
 Only the tests import this module; it takes FieldSpec records from gf, but
 none of its functions.
 """
@@ -154,3 +155,24 @@ def normalized(coords) -> tuple[Element, ...]:
     """A projective point's coordinates scaled so its first nonzero one is 1."""
     pivot = next(c for c in coords if c)
     return tuple(c / pivot for c in coords)
+
+
+def projective_points(spec: FieldSpec, dim: int) -> list[tuple[Element, ...]]:
+    """The points of PG(dim, q) in the package's vertex order: the leading
+    one moves from the last coordinate to the first, and the coordinates
+    after it run lexicographically in element-index order."""
+    elems = elements(spec)
+    zero, one = element(spec, 0), element(spec, 1)
+    return [
+        (zero,) * lead + (one,) + tuple(elems[i] for i in tail)
+        for lead in range(dim, -1, -1)
+        for tail in product(range(spec.q), repeat=dim - lead)
+    ]
+
+
+def absolute_points_by_objects(spec: FieldSpec) -> tuple[int, ...]:
+    """Vertex indices of the absolute points of the orthogonal polarity of
+    PG(2, q), tested point by point: the points u with u.u = 0."""
+    return tuple(
+        i for i, pt in enumerate(projective_points(spec, 2)) if not sum(c * c for c in pt)
+    )

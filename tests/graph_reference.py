@@ -1,8 +1,9 @@
 """Reference checks on graphs and linear hypergraphs, written for clarity.
 
 An oracle for the tests: a witness checker that re-reads a returned clique
-or cycle edge by edge, and a strong-freeness test that lists every copy of a
-pattern in the shadow graph and 2-colours each hyperedge's part of it.  Only
+or cycle edge by edge, a shadow graph built pair by pair, a strong-freeness
+test that lists every copy of a pattern in the shadow graph and 2-colours
+each hyperedge's part of it, and a reader of write_hypergraph's text.  Only
 the tests import this module.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from ramseyforge.graphcore import ForbiddenPattern, Graph, LinearHypergraph, shadow_graph
+from ramseyforge.graphcore import ForbiddenPattern, Graph, LinearHypergraph, _read_header
 
 
 def validate_witness(G: Graph, F: ForbiddenPattern, witness: Sequence[int]) -> bool:
@@ -28,6 +29,19 @@ def validate_witness(G: Graph, F: ForbiddenPattern, witness: Sequence[int]) -> b
     if len(w) != k:
         return False
     return all(G.has_edge(w[i], w[(i + 1) % k]) for i in range(k))
+
+
+def shadow(H: LinearHypergraph) -> Graph:
+    """The graph joining every pair of vertices that share a hyperedge."""
+    return Graph.from_edges(H.n, {p for e in H.edges for p in itertools.combinations(e, 2)})
+
+
+def read_hypergraph(fh) -> tuple[LinearHypergraph, dict]:
+    """The hypergraph of write_hypergraph's text: the graph reader's header,
+    then one hyperedge per line; blank lines and '#' lines are skipped."""
+    header = _read_header(fh)
+    lines = (words for words in map(str.split, fh) if words and words[0][0] != "#")
+    return LinearHypergraph(header["n"], [tuple(map(int, words)) for words in lines]), header
 
 
 def induced_piece_bipartite(copy_vertices, copy_edges, inside) -> bool:
@@ -61,19 +75,19 @@ def two_coloring_strong_freeness(H: LinearHypergraph, F: ForbiddenPattern):
     part of the copy is not 2-colourable, else (False, the first copy that
     has none).  Copies are listed with cliques lexicographic and cycles from
     their smallest vertex, second vertex below the last."""
-    shadow = shadow_graph(H)
+    S = shadow(H)
     k = F.size
     if F.kind == "clique":
         copies = [
             c for c in itertools.combinations(range(H.n), k)
-            if all(shadow.has_edge(a, b) for a, b in itertools.combinations(c, 2))
+            if all(S.has_edge(a, b) for a, b in itertools.combinations(c, 2))
         ]
         edge_sets = [set(itertools.combinations(c, 2)) for c in copies]
     else:
         copies = [
             p for p in itertools.permutations(range(H.n), k)
             if p[0] == min(p) and p[1] < p[-1]
-            and all(shadow.has_edge(p[i], p[(i + 1) % k]) for i in range(k))
+            and all(S.has_edge(p[i], p[(i + 1) % k]) for i in range(k))
         ]
         edge_sets = [{tuple(sorted((c[i], c[(i + 1) % k]))) for i in range(k)} for c in copies]
     for copy, copy_edges in zip(copies, edge_sets):

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+import gf_reference
 import graph_reference as ref
 from ramseyforge import certify as ce
 from ramseyforge import geometry as geo
@@ -23,6 +24,7 @@ from ramseyforge import graphcore as gc
 from ramseyforge import spectral as sp
 from ramseyforge import transfer as tr
 from ramseyforge.cli import dispatch
+from ramseyforge.gf import spec_for
 from ramseyforge.graphcore import ForbiddenPattern, Graph
 
 MASTER_SEED = 20260814
@@ -61,7 +63,7 @@ def test_criterion_1_polarity_graphs(capsys):
             G = geo.polarity_graph(q)
             n = q * q + q + 1
             assert G.n == n
-            absolute = set(geo.polarity_absolute_points(q))
+            absolute = set(gf_reference.absolute_points_by_objects(spec_for(q)))
             assert len(absolute) == q + 1
             assert absolute == {v for v in range(n) if G.degree(v) == q}
             assert all(G.degree(v) == q + 1 for v in range(n) if v not in absolute)
@@ -112,7 +114,7 @@ def _spectral_corpus():
     for q in POLARITY_ORDERS:
         yield f"er{q}", geo.polarity_graph(q), "er", {"q": q}
     for q in (2, 3, 4):
-        yield f"unital{q}-shadow", gc.shadow_graph(geo.unital_line_hypergraph(q)), None, None
+        yield f"unital{q}-shadow", ref.shadow(geo.unital_line_hypergraph(q)), None, None
     for s, _, orders in CHARACTER_CASES:
         for q in orders:
             for variant in ("canonical", "symmetrized"):

@@ -21,7 +21,7 @@ from ramseyforge import gf
 from ramseyforge import graphcore as gc
 from ramseyforge import transfer as tr
 from ramseyforge.cli import dispatch
-from ramseyforge.graphcore import read_graph, read_hypergraph
+from ramseyforge.graphcore import read_graph
 
 
 def run(capsys, argv):
@@ -89,7 +89,7 @@ def test_construct_roundtrip(capsys):
 
     code, out, _ = run(capsys, ["construct", "unital", "--q", "2"])
     assert code == 0
-    H, header = read_hypergraph(io.StringIO(out))
+    H, header = ref.read_hypergraph(io.StringIO(out))
     assert H.n == 12 and H.r == 4 and len(H.edges) == 9
 
     code, out, _ = run(capsys, ["construct", "bip", "--q", "5", "--s", "2", "--variant", "symmetrized"])
@@ -214,7 +214,7 @@ def test_transfer_output_pinned(capsys):
     # e(X) counted pair by pair, and the hash pins the kept edges, the
     # pattern checks and every sampled-check verdict
     H = geo.unital_line_hypergraph(3)
-    colored = tr.derive_transfer_params(H).colored
+    colored = tr.derive_transfer_params(H)
     k = max(colored.m, 2)
     bound = colored.alpha * math.comb(k, 2)
     false_trials = set()

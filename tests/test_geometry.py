@@ -70,23 +70,23 @@ def test_polarity_fano():
     G = geo.polarity_graph(2)
     assert G.n == 7
     assert Counter(G.degrees) == {3: 4, 2: 3}
-    assert geo.polarity_absolute_points(2) == (2, 4, 5)
-
-
-def absolute_points_by_objects(q):
-    """Reference: test u.u = 0 point by point in element arithmetic."""
-    return tuple(i for i, pt in enumerate(pg_points(2, spec_for(q))) if not sum(c * c for c in pt))
+    assert ref.absolute_points_by_objects(spec_for(2)) == (2, 4, 5)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27])
 def test_polarity_absolute_points_match_object_arithmetic(q):
-    assert geo.polarity_absolute_points(q) == absolute_points_by_objects(q)
+    # the reference lists the points in the documented vertex order itself
+    spec = spec_for(q)
+    assert ref.projective_points(spec, 2) == pg_points(2, spec)
+    G = geo.polarity_graph(q)
+    degree_q = tuple(v for v in range(G.n) if G.degrees[v] == q)
+    assert degree_q == ref.absolute_points_by_objects(spec)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_polarity_parameters(q):
     G = geo.polarity_graph(q)
-    absolute = geo.polarity_absolute_points(q)
+    absolute = ref.absolute_points_by_objects(spec_for(q))
     assert G.n == q * q + q + 1
     assert Counter(G.degrees) == {q: q + 1, q + 1: q * q}
     # absolute points are exactly the degree-q vertices
@@ -154,7 +154,7 @@ def test_polarity_adjacency_square_identity(q):
     # row has q + 1 bits and any two rows share exactly one
     G = geo.polarity_graph(q)
     rows = list(G.rows)
-    for v in geo.polarity_absolute_points(q):
+    for v in ref.absolute_points_by_objects(spec_for(q)):
         rows[v] |= 1 << v
     assert all(row.bit_count() == q + 1 for row in rows)
     assert all((a & b).bit_count() == 1 for a, b in itertools.combinations(rows, 2))
@@ -185,17 +185,23 @@ def test_polarity_rejects():
 # --- Hermitian unital --------------------------------------------------------
 
 
+def dual(blocks, v):
+    """Reference dual: for each of the v points, the indices of the blocks
+    through it, ascending."""
+    return tuple(tuple(b for b, block in enumerate(blocks) if p in block) for p in range(v))
+
+
 @pytest.mark.parametrize(
     "q,v,b", [(2, 9, 12), (3, 28, 63), (4, 65, 208)]
 )
 def test_unital_design(q, v, b):
-    D = geo.hermitian_unital(q)
-    assert D.n == v == q**3 + 1
-    assert len(D.edges) == b == q * q * (q * q - q + 1)
-    assert D.r == q + 1
-    assert D.regular_degree() == q * q
-    # a 2-design: the blocks, pairwise sharing at most one point, cover every pair
-    assert len({p for e in D.edges for p in itertools.combinations(e, 2)}) == v * (v - 1) // 2
+    H = geo.unital_line_hypergraph(q)
+    assert len(H.edges) == v == q**3 + 1
+    assert H.n == b == q * q * (q * q - q + 1)
+    assert H.r == q * q
+    assert H.regular_degree() == q + 1
+    # a 2-design: any two points lie on exactly one common block
+    assert all(len(set(x) & set(y)) == 1 for x, y in itertools.combinations(H.edges, 2))
 
 
 def unital_points(q):
@@ -205,12 +211,12 @@ def unital_points(q):
 
 
 def test_unital_points_satisfy_form():
-    # independent re-check: the curve has the unital's points, and each
-    # block lies on the line through its first two points
-    D = geo.hermitian_unital(3)
+    # independent re-check: the curve has one hyperedge per point, and the
+    # points of each block lie on the line through its first two points
+    H = geo.unital_line_hypergraph(3)
     pts = unital_points(3)
-    assert len(pts) == D.n
-    for block in D.edges:
+    assert len(pts) == len(H.edges)
+    for block in dual(H.edges, H.n):
         (x0, x1, x2), (y0, y1, y2) = pts[block[0]], pts[block[1]]
         line = (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0)
         assert all(not sum(a * b for a, b in zip(line, pts[i])) for i in block)
@@ -222,15 +228,6 @@ def test_unital_line_hypergraph(q, n, r, d):
     assert H.n == n and H.r == r
     assert len(H.edges) == q**3 + 1
     assert H.is_regular() and H.regular_degree() == d
-
-
-def test_unital_hypergraph_duality():
-    D = geo.hermitian_unital(2)
-    H = geo.unital_line_hypergraph(2)
-    # hyperedge p contains block b iff block b contains point p
-    for p, e in enumerate(H.edges):
-        for b in e:
-            assert p in D.edges[b]
 
 
 def unital_blocks_by_form(q):
@@ -247,9 +244,51 @@ def unital_blocks_by_form(q):
     return tuple(blocks)
 
 
+def test_unital_hypergraph_duality():
+    # block b contains point p iff hyperedge p contains vertex b: the dual
+    # of the dual is the unital, block by block
+    H = geo.unital_line_hypergraph(2)
+    assert dual(H.edges, H.n) == unital_blocks_by_form(2)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_unital_blocks_match_line_by_line_evaluation(q):
-    assert geo.hermitian_unital(q).edges == unital_blocks_by_form(q)
+    blocks = unital_blocks_by_form(q)
+    assert geo.unital_line_hypergraph(q).edges == dual(blocks, q**3 + 1)
+
+
+def is_linear(n, edges) -> bool:
+    """Whether LinearHypergraph takes the edges; it may refuse them only for
+    a vertex pair that lies in two hyperedges."""
+    try:
+        gc.LinearHypergraph(n, edges)
+    except ValueError as exc:
+        assert "lies in hyperedges" in str(exc)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_primal_and_dual_linearity_agree(q):
+    # two points share at most one block exactly when two blocks share at
+    # most one point, so the line hypergraph's check stands for the
+    # unital's.  Swapping a point x of block i for a point y of block j
+    # keeps every block size and point degree, so both sides stay uniform.
+    v, blocks = q**3 + 1, unital_blocks_by_form(q)
+    rng = random.Random(q)
+    seen = set()
+    for trial in range(40):
+        B = [list(block) for block in blocks]
+        for _ in range(trial % 4):
+            i, j = rng.sample(range(len(B)), 2)
+            xs, ys = set(B[i]) - set(B[j]), set(B[j]) - set(B[i])
+            if xs and ys:
+                x, y = rng.choice(sorted(xs)), rng.choice(sorted(ys))
+                B[i][B[i].index(x)], B[j][B[j].index(y)] = y, x
+        linear = is_linear(v, B)
+        assert is_linear(len(B), dual(B, v)) == linear
+        seen.add(linear)
+    assert seen == {True, False}
 
 
 def test_unital_rejects_a_line_meeting_the_curve_oddly(monkeypatch):
@@ -263,14 +302,14 @@ def test_unital_rejects_a_line_meeting_the_curve_oddly(monkeypatch):
 
     monkeypatch.setattr(geo, "_polar_lines", first_line_off_the_curve)
     with pytest.raises(AssertionError, match="line meets curve in 0 points"):
-        geo.hermitian_unital(3)
+        geo.unital_line_hypergraph(3)
 
 
 def test_unital_rejects():
     with pytest.raises(ValueError):
-        geo.hermitian_unital(6)
+        geo.unital_line_hypergraph(6)
     with pytest.raises(ValueError):
-        geo.hermitian_unital(16)
+        geo.unital_line_hypergraph(16)
 
 
 # --- character graphs --------------------------------------------------------

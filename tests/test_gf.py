@@ -152,7 +152,7 @@ def test_frobenius_is_automorphism(q):
 
 def test_norm_gf4():
     spec, _, mul, _, _ = tables(4)
-    norm = _powers(mul, 3, spec.one)  # x^(2+1), as hermitian_unital takes it
+    norm = _powers(mul, 3, spec.one)  # x^(2+1), as the unital build takes it
     w = 1  # coefficients (0, 1)
     assert norm[w] == spec.one  # w * w^2 = w^3 = 1
     assert norm[0] == 0 and norm[spec.one] == spec.one

@@ -8,9 +8,11 @@ import random
 import numpy as np
 import pytest
 
+import gf_reference
 from ramseyforge import geometry as geo
 from ramseyforge import graphcore as gc
 from ramseyforge import spectral as sp
+from ramseyforge.gf import spec_for
 from ramseyforge.graphcore import Graph
 
 
@@ -172,7 +174,7 @@ def test_polarity_incidence_spectrum():
     for q in (2, 3, 5):
         G = geo.polarity_graph(q)
         A = sp.adjacency_matrix(G)
-        for i in geo.polarity_absolute_points(q):
+        for i in gf_reference.absolute_points_by_objects(spec_for(q)):
             A[i, i] = 1.0
         vals = sp.symmetric_eigenvalues(A)
         assert vals[0] == pytest.approx(q + 1, abs=1e-9)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import graph_reference as ref
 from ramseyforge import geometry as geo
 from ramseyforge import graphcore as gc
 from ramseyforge import transfer as tr
@@ -22,14 +23,13 @@ def test_coloring_determinism(unital3):
     a = tr.random_coloring(unital3, 123)
     b = tr.random_coloring(unital3, 123)
     c = tr.random_coloring(unital3, 124)
-    assert a == b and a.bits != c.bits
-    assert a.seed == 123
-    assert a.color(0, 0) == a.bits[0] & 1
+    assert a == b and a != c
+    assert len(a) == len(unital3.edges) and all(0 <= bits < 1 << unital3.r for bits in a)
 
 
 def test_coloring_bits_are_fair():
     H = LinearHypergraph(10000, [(2 * i, 2 * i + 1) for i in range(5000)])
-    ones = sum(b.bit_count() for b in tr.random_coloring(H, 99).bits)
+    ones = sum(b.bit_count() for b in tr.random_coloring(H, 99))
     assert abs(ones / 10000 - 0.5) < 0.02
 
 
@@ -51,17 +51,17 @@ def test_derive_seed_chain():
 
 def test_bichromatic_examples():
     H = LinearHypergraph(4, [(0, 1, 2, 3)])
-    mono = tr.bichromatic_subgraph(H, tr.EdgeColoring((0b0000,), 0))
+    mono = tr.bichromatic_subgraph(H, (0b0000,))
     assert mono.edge_count == 0
-    balanced = tr.bichromatic_subgraph(H, tr.EdgeColoring((0b0011,), 0))
+    balanced = tr.bichromatic_subgraph(H, (0b0011,))
     assert balanced.edge_count == 4  # 2+2 split keeps 4 of the 6 pairs
     assert not balanced.has_edge(0, 1) and not balanced.has_edge(2, 3)
-    lopsided = tr.bichromatic_subgraph(H, tr.EdgeColoring((0b0001,), 0))
+    lopsided = tr.bichromatic_subgraph(H, (0b0001,))
     assert lopsided.edge_count == 3
 
 
 def test_bichromatic_subset_of_shadow(unital3):
-    shadow = gc.shadow_graph(unital3)
+    shadow = ref.shadow(unital3)
     G = tr.bichromatic_subgraph(unital3, tr.random_coloring(unital3, 5))
     for u, v in G.edges():
         assert shadow.has_edge(u, v)
@@ -74,11 +74,10 @@ def test_bichromatic_replays_bit_exact(unital3):
     coloring = tr.random_coloring(unital3, seed)
     G = tr.bichromatic_subgraph(unital3, coloring)
     state = tr._splitmix64(seed)
-    incident = unital3.incidence()
     for u, v in G.edges():
-        common = set(incident[u]) & set(incident[v])
+        common = [e for e, edge in enumerate(unital3.edges) if u in edge and v in edge]
         assert len(common) == 1
-        e = common.pop()
+        e = common[0]
         edge = unital3.edges[e]
         cu = tr._splitmix64(state ^ ((e << 20) | edge.index(u))) >> 63
         cv = tr._splitmix64(state ^ ((e << 20) | edge.index(v))) >> 63
@@ -89,7 +88,7 @@ def pairwise_bichromatic(H, coloring):
     """Reference: join each 0-slot vertex to each 1-slot vertex of every
     hyperedge, pair by pair, refusing a pair kept twice."""
     seen = set()
-    for edge, b in zip(H.edges, coloring.bits):
+    for edge, b in zip(H.edges, coloring):
         ones = [v for j, v in enumerate(edge) if b >> j & 1]
         zeros = [v for j, v in enumerate(edge) if not b >> j & 1]
         for u in zeros:
@@ -108,26 +107,29 @@ def test_bichromatic_matches_pairwise_reference(q):
         assert tr.bichromatic_subgraph(H, coloring) == pairwise_bichromatic(H, coloring)
     # the all-zero and all-one colorings keep nothing; a 1/r split keeps r-1 per edge
     for bits in (0, (1 << H.r) - 1):
-        none = tr.EdgeColoring((bits,) * len(H.edges), 0)
+        none = (bits,) * len(H.edges)
         assert tr.bichromatic_subgraph(H, none).edge_count == 0
-    one = tr.EdgeColoring((1,) * len(H.edges), 0)
+    one = (1,) * len(H.edges)
     assert tr.bichromatic_subgraph(H, one) == pairwise_bichromatic(H, one)
     assert tr.bichromatic_subgraph(H, one).edge_count == len(H.edges) * (H.r - 1)
 
 
 def test_bichromatic_validation(unital3):
     with pytest.raises(ValueError):
-        tr.bichromatic_subgraph(unital3, tr.EdgeColoring((0,), 0))
+        tr.bichromatic_subgraph(unital3, (0,))
 
 
 def test_transfer_params(unital3):
+    # the colored graph's targets: the shadow's alpha = dr/2n halved, m = ceil(2n/r)
     p = tr.derive_transfer_params(unital3)
-    assert p.shadow.alpha == Fraction(2, 7) and p.shadow.m == 14
-    assert p.colored.alpha == Fraction(1, 7) and p.colored.m == 14
-    assert p.shadow.provenance == p.colored.provenance == "transfer-derived"
+    assert p.alpha == Fraction(1, 7) and p.m == 14
+    assert p.provenance == "transfer-derived"
     one_edge = LinearHypergraph(6, [(0, 1, 2, 3, 4, 5)])
     pb = tr.derive_transfer_params(one_edge)
-    assert pb.shadow.alpha == Fraction(1, 2) and pb.shadow.m == 2
+    assert pb.alpha == Fraction(1, 4) and pb.m == 2
+    # dr/2n = 3/2 is clamped to 1 before halving
+    repeated = LinearHypergraph(1, [(0,)] * 3)
+    assert tr.derive_transfer_params(repeated).alpha == Fraction(1, 2)
     irregular = LinearHypergraph(5, [(0, 1, 2), (2, 3, 4)])
     with pytest.raises(ValueError):
         tr.derive_transfer_params(irregular)
@@ -152,17 +154,24 @@ def test_transfer_preserves_strong_freeness(unital3):
 def test_concentration_report(unital3):
     rep = tr.concentration_check(unital3, 12, 7, pattern=ForbiddenPattern.clique(4))
     assert rep.shadow_edges == 1008
-    assert rep.hyperedge_count == 28
     assert rep.expected_kept_per_edge == 18.0
     assert len(rep.trials) == 12
     assert rep.all_fractions_ok and rep.all_pattern_free
     assert abs(rep.mean_kept_per_edge - 18.0) / 18.0 < 0.05
     for t in rep.trials:
-        assert t.fraction == t.edges_kept / 1008
-        assert t.fraction_ok == (0.4 <= t.fraction <= 0.6)
+        assert t.fraction_ok == (0.4 <= t.edges_kept / 1008 <= 0.6)
     # deterministic replay
     rep2 = tr.concentration_check(unital3, 12, 7, pattern=ForbiddenPattern.clique(4))
     assert rep2.trials == rep.trials
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_concentration_counts_the_shadow(q):
+    # |E| C(r, 2) shadow edges, as the hyperedges of a linear hypergraph
+    # share no pair
+    H = geo.unital_line_hypergraph(q)
+    rep = tr.concentration_check(H, 1, 0, samples=1)
+    assert rep.shadow_edges == ref.shadow(H).edge_count
 
 
 def test_concentration_without_pattern(unital3):
