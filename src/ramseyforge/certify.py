@@ -36,8 +36,6 @@ from .transfer import bichromatic_subgraph, derive_seed, random_coloring
 
 TOOL_VERSION = __version__
 
-PIPELINE_ORDERS = (2, 3, 4)
-
 
 # --- threshold formulas ------------------------------------------------------
 
@@ -123,7 +121,10 @@ class RamseyCertificate:
         fields, and the params of a known family, have the types to_json
         writes.  A params key left out, or an unknown family, is left to
         verification: the rebuild uses the key's default or fails."""
-        raw = json.loads(text)
+        try:
+            raw = json.loads(text)
+        except RecursionError:
+            raise ValueError("certificate JSON nests too deeply") from None
         if not isinstance(raw, dict):
             raise ValueError("certificate must be a JSON object")
         fields = {}
@@ -281,42 +282,3 @@ def verify_certificate(
         failed.append(f"independent set of size t = {cert.t} found: {[alive[v] for v in found]}")
     return VerificationResult("INVALID", free, alpha_ok, True, "; ".join(failed))
 
-
-# --- pipelines ----------------------------------------------------------------
-
-
-def pipeline_unital(
-    q: int,
-    trials: int,
-    seed: int,
-    t: int | None = None,
-    budget: int | None = None,
-) -> RamseyCertificate:
-    """Color the unital line hypergraph `trials` times, by build_family's
-    recipe that verify replays, certify each colored graph k4-free with
-    independence number < t, and return the certificate with the largest
-    witness (ties to the smallest trial seed).  The last round of each
-    trial's deletion loop is its one proof of alpha < t.  The hypergraph's
-    strong k4-freeness, the transference hypothesis, is not re-proved: its
-    conclusion, a k4-free trial graph, is checked on every trial."""
-    if q not in PIPELINE_ORDERS:
-        raise ValueError(f"q must be one of {PIPELINE_ORDERS}")
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    k4 = ForbiddenPattern.clique(4)
-    if t is None:
-        H = unital_line_hypergraph(q)
-        t = t_transfer(H.n, H.r, H.regular_degree())
-    best = None
-    best_key = None
-    for i in range(trials):
-        trial_seed = derive_seed(seed, i)
-        params = {"q": q, "colorSeed": trial_seed}
-        G = build_family("unital-transfer", params)
-        cert = sample_and_delete(
-            G, k4, t, 1.0, trial_seed, "unital-transfer", params, budget=budget
-        )
-        key = (cert.witness_count, -trial_seed)
-        if best_key is None or key > best_key:
-            best, best_key = cert, key
-    return best

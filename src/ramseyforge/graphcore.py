@@ -832,32 +832,34 @@ def _bfs_dist(adj: Sequence[int], n: int, src: int, allowed: int) -> list[int]:
 
 
 def _iter_cycles_exact(G: Graph, k: int, budget: int | None) -> Iterator[list[int]]:
-    """All simple cycles of length exactly k, canonically: smallest vertex
-    first, second vertex smaller than the last (one orientation per cycle)."""
+    """All simple cycles of length exactly k (k >= 3), canonically: smallest
+    vertex first, second vertex smaller than the last (one orientation per
+    cycle).  The walk keeps its own stack; each vertex it enters is a node."""
     if k > G.n:  # a simple k-cycle needs k distinct vertices
         return
-    nodes = [0]
+    nodes = 0
     full = (1 << G.n) - 1
     for s in range(G.n):
         allowed = full >> (s + 1) << (s + 1)
         dist = _bfs_dist(G.rows, G.n, s, allowed)
-        path = [s]
-
-        def walk(u: int, remaining: int, used: int) -> Iterator[list[int]]:
-            nodes[0] += 1
-            if budget is not None and nodes[0] > budget:
-                raise UndecidedError(f"cycle({k}) enumeration exhausted budget {budget}")
-            if remaining == 0:
-                if G.rows[u] >> s & 1 and path[1] < path[-1]:
-                    yield list(path)
-                return
-            for v in _iter_bits(G.rows[u] & allowed & ~used):
-                if dist[v] <= remaining:
+        path, used, stack = [], 0, [iter([s])]  # stack[i] yields the choices for path[i]
+        while stack:
+            v = next(stack[-1], None)
+            if v is None:
+                stack.pop()
+                if path:
+                    used ^= 1 << path.pop()
+            elif dist[v] <= k - len(path):  # v can still close a k-cycle
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    raise UndecidedError(f"cycle({k}) enumeration exhausted budget {budget}")
+                if len(path) == k - 1:
+                    if G.rows[v] >> s & 1 and path[1] < v:
+                        yield path + [v]
+                else:
                     path.append(v)
-                    yield from walk(v, remaining - 1, used | (1 << v))
-                    path.pop()
-
-        yield from walk(s, k - 1, 1 << s)
+                    used |= 1 << v
+                    stack.append(_iter_bits(G.rows[v] & allowed & ~used))
 
 
 def _edge_with_common(rows: Sequence[int], k: int) -> bool:
@@ -945,7 +947,10 @@ def _read_header(fh) -> dict:
     first = fh.readline()
     if not first.startswith("#"):
         raise ValueError("missing graph header line")
-    header = json.loads(first[1:].strip())
+    try:
+        header = json.loads(first[1:].strip())
+    except RecursionError:
+        raise ValueError("graph header JSON nests too deeply") from None
     if not isinstance(header, dict):
         raise ValueError("graph header must be a JSON object")
     n = header.get("n")

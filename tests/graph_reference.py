@@ -3,16 +3,25 @@
 An oracle for the tests: a witness checker that re-reads a returned clique
 or cycle edge by edge, a shadow graph built pair by pair, a strong-freeness
 test that lists every copy of a pattern in the shadow graph and 2-colours
-each hyperedge's part of it, and a reader of write_hypergraph's text.  Only
+each hyperedge's part of it, a reader of write_hypergraph's text, and the
+recursive cycle walk that graphcore's explicit-stack walk must match.  Only
 the tests import this module.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from ramseyforge.graphcore import ForbiddenPattern, Graph, LinearHypergraph, _read_header
+from ramseyforge.graphcore import (
+    ForbiddenPattern,
+    Graph,
+    LinearHypergraph,
+    UndecidedError,
+    _bfs_dist,
+    _iter_bits,
+    _read_header,
+)
 
 
 def validate_witness(G: Graph, F: ForbiddenPattern, witness: Sequence[int]) -> bool:
@@ -42,6 +51,35 @@ def read_hypergraph(fh) -> tuple[LinearHypergraph, dict]:
     header = _read_header(fh)
     lines = (words for words in map(str.split, fh) if words and words[0][0] != "#")
     return LinearHypergraph(header["n"], [tuple(map(int, words)) for words in lines]), header
+
+
+def iter_cycles_exact(G: Graph, k: int, budget: int | None) -> Iterator[list[int]]:
+    """graphcore._iter_cycles_exact as a recursive walk, one call per path
+    vertex: the same cycles in the same order, and the same node count."""
+    if k > G.n:
+        return
+    nodes = [0]
+    full = (1 << G.n) - 1
+    for s in range(G.n):
+        allowed = full >> (s + 1) << (s + 1)
+        dist = _bfs_dist(G.rows, G.n, s, allowed)
+        path = [s]
+
+        def walk(u: int, remaining: int, used: int) -> Iterator[list[int]]:
+            nodes[0] += 1
+            if budget is not None and nodes[0] > budget:
+                raise UndecidedError(f"cycle({k}) enumeration exhausted budget {budget}")
+            if remaining == 0:
+                if G.rows[u] >> s & 1 and path[1] < path[-1]:
+                    yield list(path)
+                return
+            for v in _iter_bits(G.rows[u] & allowed & ~used):
+                if dist[v] <= remaining:
+                    path.append(v)
+                    yield from walk(v, remaining - 1, used | (1 << v))
+                    path.pop()
+
+        yield from walk(s, k - 1, 1 << s)
 
 
 def induced_piece_bipartite(copy_vertices, copy_edges, inside) -> bool:

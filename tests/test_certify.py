@@ -7,6 +7,7 @@ import json
 import pytest
 
 from ramseyforge import certify as ce
+from ramseyforge import cli
 from ramseyforge import geometry as geo
 from ramseyforge import graphcore as gc
 from ramseyforge.graphcore import ForbiddenPattern
@@ -171,8 +172,18 @@ def test_build_family_dispatch():
         ce.build_family("er7", {"q": 7})
 
 
-def test_pipeline_unital_small():
-    best = ce.pipeline_unital(2, 3, 42)
+def certify(capsys, *argv: str) -> tuple[int, str, str]:
+    """Run `ramseyforge certify --family unital-transfer` in-process: exit
+    code, stdout, stderr."""
+    code = cli.dispatch(["certify", "--family", "unital-transfer", *argv])
+    cap = capsys.readouterr()
+    return code, cap.out, cap.err
+
+
+def test_pipeline_unital_small(capsys):
+    code, out, _ = certify(capsys, "--q", "2", "--trials", "3", "--seed", "42")
+    best = ce.RamseyCertificate.from_json(out)
+    assert code == 0
     assert best.family == "unital-transfer"
     assert best.t == 1581 and best.witness_count <= 12
     assert best.valid
@@ -180,17 +191,18 @@ def test_pipeline_unital_small():
     assert best.pattern == "k4"
 
 
-def test_pipeline_unital_forced_deletions():
-    best = ce.pipeline_unital(3, 4, 7, t=12)
-    assert best.valid and best.deletion_trace
+def test_pipeline_unital_forced_deletions(capsys):
+    argv = ("--q", "3", "--trials", "4", "--seed", "7", "--t", "12")
+    code, out, _ = certify(capsys, *argv)
+    best = ce.RamseyCertificate.from_json(out)
+    assert code == 0 and best.valid and best.deletion_trace
     assert best.witness_count + len(best.deletion_trace) == 63
     assert ce.verify_certificate(best).status == "VALID"
     # reproducible
-    again = ce.pipeline_unital(3, 4, 7, t=12)
-    assert again == best
+    assert certify(capsys, *argv)[:2] == (code, out)
 
 
-def test_pipeline_unital_proves_alpha_once(monkeypatch):
+def test_pipeline_unital_proves_alpha_once(capsys, monkeypatch):
     # one clique search for the ambient k4 check, then one independence
     # search per deletion round and one that proves alpha < t
     searched = []
@@ -201,13 +213,14 @@ def test_pipeline_unital_proves_alpha_once(monkeypatch):
         return search(G, budget, target, complement, floor)
 
     monkeypatch.setattr(gc, "_max_clique_search", counted)
-    cert = ce.pipeline_unital(3, 1, 7, t=12)
-    assert cert.valid and cert.deletion_trace
+    code, out, _ = certify(capsys, "--q", "3", "--trials", "1", "--seed", "7", "--t", "12")
+    cert = ce.RamseyCertificate.from_json(out)
+    assert code == 0 and cert.valid and cert.deletion_trace
     assert searched == [False] + [True] * (len(cert.deletion_trace) + 1)
 
 
-def test_pipeline_guards():
-    with pytest.raises(ValueError):
-        ce.pipeline_unital(5, 1, 0)
-    with pytest.raises(ValueError):
-        ce.pipeline_unital(2, 0, 0)
+def test_pipeline_guards(capsys):
+    code, out, err = certify(capsys, "--q", "5", "--trials", "1", "--seed", "0")
+    assert code == 2 and out == "" and "q must be one of (2, 3, 4)" in err
+    code, out, err = certify(capsys, "--q", "2", "--trials", "0", "--seed", "0")
+    assert code == 2 and out == "" and "need trials >= 1" in err

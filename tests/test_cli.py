@@ -436,13 +436,15 @@ def test_certify_rejects_p_before_alpha(capsys, monkeypatch, p):
         (["--family", "er", "--q", "3", "--variant", "symmetrized"], "takes no --s or --variant"),
         (["--family", "unital-transfer", "--q", "3", "--s", "2", "--t", "12"], "takes no --s or --variant"),
         (["--family", "unital-transfer", "--q", "3", "--variant", "canonical"], "takes no --s or --variant"),
+        (["--family", "unital-transfer", "--q", "5"], "q must be one of (2, 3, 4)"),
+        (["--family", "unital-transfer", "--q", "2", "--trials", "0"], "need trials >= 1"),
     ],
 )
 def test_certify_rejects_options_it_would_ignore(capsys, monkeypatch, args, reason):
     def refused(*a, **k):
         raise AssertionError("certificate built")
 
-    for name in ("build_family", "pipeline_unital"):
+    for name in ("build_family", "unital_line_hypergraph"):
         monkeypatch.setattr(cli, name, refused)
     code, out, err = run(capsys, ["certify", *args])
     assert code == 2 and out == "" and reason in err
@@ -496,6 +498,34 @@ def test_construct_output_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, ["construct", *argv])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_rejects_deeply_nested_json(capsys, tmp_path):
+    # json.loads ends in RecursionError past the recursion limit; that is a
+    # malformed certificate (exit 2), not an INVALID one (exit 1)
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, ["verify", "--cert", str(path)])
+    assert code == 2 and out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["check", "--pattern", "k4"], ["spectrum"], ["containers"]])
+def test_graph_readers_reject_deeply_nested_header(capsys, tmp_path, command):
+    path = tmp_path / "deep.txt"
+    path.write_text("# " + "[" * 100_000 + "\n0 1\n")
+    code, out, err = run(capsys, [*command, "--in", str(path)])
+    assert code == 2 and out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_check_odd_cycle_longer_than_recursion_limit(capsys, tmp_path):
+    # the chord (0, 2) gives odd girth 3, so the exact search walks a path
+    # through all 25 001 vertices, past the recursion limit of 20 000
+    n = 25_001
+    path = tmp_path / "long.txt"
+    with open(path, "w") as fh:
+        gc.write_graph(gc.Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)] + [(0, 2)]), fh)
+    code, out, _ = run(capsys, ["check", "--pattern", f"c{n}", "--in", str(path)])
+    assert code == 1 and json.loads(out) == {"pattern": f"c{n}", "free": False, "witness": list(range(n))}
 
 
 def test_verify_odd_cycle_longer_than_witness(capsys, tmp_path):

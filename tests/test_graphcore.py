@@ -915,6 +915,32 @@ def test_odd_cycle_longer_than_graph_is_not_searched():
     assert gc.is_pattern_free(cycle_graph(7), ForbiddenPattern.odd_cycle(7))[0] is False
 
 
+def walk_until_undecided(walk, G: Graph, k: int, budget) -> tuple[list, bool]:
+    """The cycles a walk yields, and whether its budget ran out after them."""
+    cycles = []
+    try:
+        for cycle in walk(G, k, budget):
+            cycles.append(cycle)
+    except gc.UndecidedError:
+        return cycles, True
+    return cycles, False
+
+
+def test_cycle_walk_matches_recursive_reference():
+    # the same cycles in the same order, and the budget runs out after the
+    # same cycle: both walks count one node per path vertex entered
+    rng = random.Random(2027)
+    seen = Counter()
+    for _ in range(30):
+        G = random_graph(rng.randint(3, 12), rng.uniform(0.2, 0.6), rng)
+        for k in (3, 5, 7, 9):
+            for budget in (None, 1, 5, 50):
+                got = walk_until_undecided(gc._iter_cycles_exact, G, k, budget)
+                assert got == walk_until_undecided(ref.iter_cycles_exact, G, k, budget)
+                seen[got[1], bool(got[0])] += 1
+    assert len(seen) == 4  # found cycles and none, with and without running out
+
+
 def test_triangle_count_matches_spectra_free_reference():
     rng = random.Random(17)
     for _ in range(25):
