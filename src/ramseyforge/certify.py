@@ -192,31 +192,27 @@ def sample_and_delete(
     (largest degree in the current subgraph, ties to the smallest label).
 
     With p = 1 the whole procedure is deterministic, so repeated runs agree
-    exactly.  If the exact solver runs out of budget the certificate is
-    emitted with valid=False (unverified is never valid).  Given alpha =
-    independence_number(G), a t above alpha.upper leaves nothing to search.
+    exactly.  If the exact solver runs out of budget, UndecidedError
+    propagates and no certificate is made, so every one returned is proved
+    (valid=True).  Given alpha = independence_number(G), a t above
+    alpha.upper leaves nothing to search.
     """
     if t < 1:
         raise ValueError("need t >= 1")
     check_ambient(G, F, budget)
     alive = sampled_vertices(G.n, p, seed)
     trace: list[int] = []
-    undecided = False
     sub = G if len(alive) == G.n else G.induced(alive)
     while alive and (alpha is None or alpha.upper >= t):
-        try:
-            found = find_independent_set(sub, t, budget)
-        except UndecidedError:
-            undecided = True
-            break
+        found = find_independent_set(sub, t, budget)
         if found is None:
             break
-        victim = max(found, key=lambda i: (sub.degree(i), -i))
+        victim = max(found, key=lambda i: (sub.degrees[i], -i))
         trace.append(alive[victim])
         del alive[victim]
         sub = sub.drop_vertex(victim)
     # G is F-free, so G[alive] is too, and the last round (or alpha) found
-    # no independent t-set: a decided loop has proved both claims
+    # no independent t-set: the loop has proved both claims
     return RamseyCertificate(
         family=family,
         params={**params, "p": p},
@@ -225,7 +221,7 @@ def sample_and_delete(
         witness_count=len(alive),
         seed=seed,
         deletion_trace=tuple(trace),
-        valid=not undecided,
+        valid=True,
     )
 
 
@@ -235,10 +231,6 @@ class VerificationResult(NamedTuple):
     alpha_less_than_t: bool | None
     witness_count_ok: bool
     detail: str
-
-    @property
-    def valid(self) -> bool:
-        return self.status == "VALID"
 
 
 def verify_certificate(
@@ -271,8 +263,10 @@ def verify_certificate(
     try:
         free, copy = is_pattern_free(sub, F, budget)
         found = find_independent_set(sub, cert.t, budget, symmetry)
-    except UndecidedError:
-        return VerificationResult("UNVERIFIED", None, None, True, "exact checks exceeded budget")
+    except UndecidedError as exc:
+        return VerificationResult(
+            "UNVERIFIED", None, None, True, f"exact checks exceeded budget: {exc}"
+        )
     alpha_ok = found is None
     if free and alpha_ok:
         return VerificationResult("VALID", True, True, True, f"claim {cert.claim()} replayed")

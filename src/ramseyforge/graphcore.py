@@ -206,48 +206,19 @@ def _pair_rows(n: int, blocks: Sequence[np.ndarray]) -> list[int]:
 
 
 class Graph:
-    """Immutable simple graph on vertices 0..n-1 with bitset adjacency rows."""
+    """Immutable simple graph on vertices 0..n-1 with bitset adjacency rows.
 
-    __slots__ = ("n", "rows", "degrees", "_edge_count")
+    Graph(n, rows) takes its rows as built: n of them, each in range,
+    loopless and symmetric, which every builder here guarantees.  Outside
+    data enters through read_graph and from_edges, which check every pair."""
 
-    def __init__(self, n: int, rows: Sequence[int]):
-        if n < 0:
-            raise ValueError("negative vertex count")
-        rows = tuple(map(index, rows))
-        if len(rows) != n:
-            raise ValueError("row count does not match n")
-        for v, row in enumerate(rows):
-            if row >> n:
-                raise ValueError(f"row {v} has bits outside 0..{n - 1}")
-            if row >> v & 1:
-                raise ValueError(f"loop at vertex {v}")
-        # symmetric iff the rows are _pair_rows of their bits above the diagonal
-        rebuilt = _pair_rows(n, [np.stack(rc, axis=1) for rc in _edge_arrays(n, rows)])
-        if rebuilt != list(rows):
-            # they differ only below the diagonal: a bit x only in row w is the
-            # set bit (w, x), and one only in the rebuilt row w mirrors the set
-            # bit (x, w), which comes first; name the first in row-major order
-            v, u = min(
-                (_bit_list(sym & ~row)[0], w) if sym & ~row else (w, _bit_list(row & ~sym)[0])
-                for w, (row, sym) in enumerate(zip(rows, rebuilt))
-                if row != sym
-            )
-            raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        self._fill(n, rows)
+    __slots__ = ("n", "rows", "degrees", "edge_count")
 
-    def _fill(self, n: int, rows: tuple[int, ...]) -> None:
+    def __init__(self, n: int, rows: Iterable[int]):
         self.n = n
-        self.rows = rows
-        self.degrees = tuple(row.bit_count() for row in rows)
-        self._edge_count = sum(self.degrees) // 2
-
-    @classmethod
-    def _valid(cls, n: int, rows: Iterable[int]) -> "Graph":
-        """A Graph on rows that are valid by construction (in range,
-        loopless, symmetric), so the per-edge check of Graph() is skipped."""
-        G = object.__new__(cls)
-        G._fill(n, tuple(rows))
-        return G
+        self.rows = tuple(rows)
+        self.degrees = tuple(map(int.bit_count, self.rows))
+        self.edge_count = sum(self.degrees) // 2
 
     @classmethod
     def _from_arcs(cls, n: int, blocks: Sequence[np.ndarray]) -> "Graph":
@@ -255,7 +226,7 @@ class Graph:
         arrays `blocks`; ValueError unless they are closed under reversal, as
         they are exactly when they number twice the edges they make."""
         blocks = [_vertex_pairs(n, arcs) for arcs in blocks]
-        G = cls._valid(n, _pair_rows(n, blocks))
+        G = cls(n, _pair_rows(n, blocks))
         if 2 * G.edge_count != sum(map(len, blocks)):
             raise ValueError("arcs not closed under reversal")
         return G
@@ -268,17 +239,7 @@ class Graph:
         if pairs.size and pairs.dtype.kind not in "iuO":
             raise TypeError(f"edges must be pairs of ints, not {pairs.dtype}")
         pairs = _vertex_pairs(n, pairs).astype(np.int64, copy=False)
-        return cls._valid(n, _pair_rows(n, [pairs]))
-
-    @property
-    def edge_count(self) -> int:
-        return self._edge_count
-
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
-    def row(self, v: int) -> int:
-        return self.rows[v]
+        return cls(n, _pair_rows(n, [pairs]))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(_iter_bits(self.rows[v]))
@@ -295,16 +256,13 @@ class Graph:
             for r, c in _edge_arrays(self.n, self.rows)
         )
 
-    def is_regular(self) -> bool:
-        return self.n == 0 or min(self.degrees) == max(self.degrees)
-
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph; vertices must be strictly increasing (vertex i of
         the result is vertices[i])."""
         vs = list(vertices)
         if any(b <= a for a, b in zip(vs, vs[1:])):
             raise ValueError("vertices must be strictly increasing")
-        return Graph._valid(len(vs), _relabel(self.rows, vs))
+        return Graph(len(vs), _relabel(self.rows, vs))
 
     def drop_vertex(self, v: int) -> "Graph":
         """The graph with vertex v deleted; each later vertex moves down one
@@ -313,15 +271,11 @@ class Graph:
             raise ValueError(f"vertex {v} out of range")
         low = (1 << v) - 1
         rows = self.rows
-        return Graph._valid(
-            self.n - 1, [r & low | r >> (v + 1) << v for r in rows[:v] + rows[v + 1 :]]
-        )
+        return Graph(self.n - 1, [r & low | r >> (v + 1) << v for r in rows[:v] + rows[v + 1 :]])
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
-        return Graph._valid(
-            self.n, [~row & full & ~(1 << v) for v, row in enumerate(self.rows)]
-        )
+        return Graph(self.n, [~row & full & ~(1 << v) for v, row in enumerate(self.rows)])
 
     def subgraph_edge_count(self, mask: int) -> int:
         """Number of edges inside the vertex subset given as a bitmask."""
@@ -386,11 +340,8 @@ class LinearHypergraph:
                 degrees[v] += 1
         self.degrees = tuple(degrees)
 
-    def is_regular(self) -> bool:
-        return self.n == 0 or min(self.degrees) == max(self.degrees)
-
     def regular_degree(self) -> int:
-        if not self.is_regular():
+        if len(set(self.degrees)) != 1:
             raise ValueError("hypergraph is not regular")
         return self.degrees[0]
 
@@ -644,7 +595,7 @@ def _orbital_alpha(
                 continue
             vs = list(_iter_bits(leaf))
             size, found, status, used = _max_clique_search(
-                Graph._valid(len(vs), _relabel(rows, vs)),
+                Graph(len(vs), _relabel(rows, vs)),
                 left,
                 None if target is None else target - 2,
                 True,
@@ -727,7 +678,8 @@ def _find_clique(
     else:  # only independence searches are given automorphisms
         best, witness, status = _orbital_alpha(G, symmetry, s - 1, s, budget)
     if status == "budget":
-        raise UndecidedError(f"clique({s}) search exhausted budget {budget}")
+        search = "independent set" if complement else "clique"
+        raise UndecidedError(f"{search}({s}) search exhausted budget {budget}")
     return witness[:s] if best >= s else None  # a sorted set's prefix stays sorted
 
 
@@ -993,7 +945,7 @@ def read_graph(fh) -> tuple[Graph, dict]:
                 raise ValueError(f"line {line + i} is not two vertex numbers: {text!r}")
             blocks.append(_vertex_pairs(n, pairs))
         line += block.count("\n")
-    return Graph._valid(n, _pair_rows(n, blocks)), header
+    return Graph(n, _pair_rows(n, blocks)), header
 
 
 def write_hypergraph(H: LinearHypergraph, fh, header: dict | None = None) -> None:

@@ -68,7 +68,7 @@ def bichromatic_subgraph(H: LinearHypergraph, coloring: tuple[int, ...]) -> Grap
         for v in edge:
             rows[v] |= zeros if ones >> v & 1 else ones
     # symmetric, loopless and in range: "ones" get "zeros" and "zeros" get "ones"
-    return Graph._valid(H.n, rows)
+    return Graph(H.n, rows)
 
 
 def derive_transfer_params(H: LinearHypergraph) -> PseudorandomParams:

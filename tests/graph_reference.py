@@ -1,7 +1,8 @@
 """Reference checks on graphs and linear hypergraphs, written for clarity.
 
-An oracle for the tests: a witness checker that re-reads a returned clique
-or cycle edge by edge, a shadow graph built pair by pair, a strong-freeness
+An oracle for the tests: a bit-by-bit check that a Graph's rows make a
+simple graph, a witness checker that re-reads a returned clique or cycle
+edge by edge, a shadow graph built pair by pair, a strong-freeness
 test that lists every copy of a pattern in the shadow graph and 2-colours
 each hyperedge's part of it, a reader of write_hypergraph's text, and the
 recursive cycle walk that graphcore's explicit-stack walk must match.  Only
@@ -22,6 +23,26 @@ from ramseyforge.graphcore import (
     _iter_bits,
     _read_header,
 )
+
+
+def assert_simple(G: Graph) -> None:
+    """Assert, one bit at a time, that G has n rows of non-negative ints
+    with no bit past n - 1 and none on the diagonal, that u is in row v
+    exactly when v is in row u, and that G.degrees and G.edge_count count
+    those bits.  Graph() trusts its rows; this re-reads what a builder made."""
+    n, rows = G.n, G.rows
+    assert n >= 0 and len(rows) == n, f"{len(rows)} rows for n = {n}"
+    degrees, edges = [0] * n, 0
+    for v, row in enumerate(rows):
+        assert isinstance(row, int) and row >= 0 and row >> n == 0, f"row {v} out of range"
+        assert not row >> v & 1, f"loop at vertex {v}"
+        for u in range(n):
+            if row >> u & 1:
+                assert rows[u] >> v & 1, f"{u} in row {v} but {v} not in row {u}"
+                degrees[v] += 1
+                edges += u < v
+    assert G.degrees == tuple(degrees), "degrees do not count the rows' bits"
+    assert G.edge_count == edges, f"edge_count {G.edge_count}, rows hold {edges} edges"
 
 
 def validate_witness(G: Graph, F: ForbiddenPattern, witness: Sequence[int]) -> bool:

@@ -65,8 +65,8 @@ def test_criterion_1_polarity_graphs(capsys):
             assert G.n == n
             absolute = set(gf_reference.absolute_points_by_objects(spec_for(q)))
             assert len(absolute) == q + 1
-            assert absolute == {v for v in range(n) if G.degree(v) == q}
-            assert all(G.degree(v) == q + 1 for v in range(n) if v not in absolute)
+            assert absolute == {v for v in range(n) if G.degrees[v] == q}
+            assert all(G.degrees[v] == q + 1 for v in range(n) if v not in absolute)
             free, _ = gc.is_pattern_free(G, ForbiddenPattern.c4())
             assert free, f"q={q} has a 4-cycle"
             # self-adjacency restored on absolute points completes the

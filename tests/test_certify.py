@@ -113,12 +113,13 @@ def test_ambient_must_be_pattern_free(er3):
 
 
 def test_budget_exhaustion_never_valid(er3):
-    cert = ce.sample_and_delete(er3, ForbiddenPattern.c4(), 5, 1.0, 0, "er", {"q": 3}, budget=1)
-    assert not cert.valid  # loop could not be decided
-    assert ce.verify_certificate(cert).status == "INVALID"  # alpha(ER_3) = 5
+    # an undecided deletion round makes no certificate
+    with pytest.raises(gc.UndecidedError, match=r"^independent set\(5\) search exhausted budget 1$"):
+        ce.sample_and_delete(er3, ForbiddenPattern.c4(), 5, 1.0, 0, "er", {"q": 3}, budget=1)
     good = ce.sample_and_delete(er3, ForbiddenPattern.c4(), 5, 1.0, 5, "er", {"q": 3})
     res = ce.verify_certificate(good, budget=1)
-    assert res.status == "UNVERIFIED" and not res.valid
+    assert res.status == "UNVERIFIED"
+    assert res.detail == "exact checks exceeded budget: independent set(5) search exhausted budget 1"
 
 
 def test_mutated_certificates_rejected():

@@ -291,6 +291,40 @@ def test_certify_budget_exhausted_is_undecided(capsys):
     assert -(-183 // 15) <= lo <= hi  # ER_13: 183 vertices, max degree 14
 
 
+@pytest.mark.parametrize(
+    "args, t",
+    [
+        # trial 0 runs out of budget at 58 vertices; trial 1 decides 47
+        (["--family", "unital-transfer", "--q", "3", "--trials", "6", "--seed", "7", "--t", "14",
+          "--budget", "80"], 14),
+        (["--family", "er", "--q", "13", "--pattern", "c4", "--p", "0.5", "--t", "26", "--seed", "3",
+          "--budget", "10"], 26),
+    ],
+)
+def test_certify_undecided_deletion_round_writes_nothing(capsys, tmp_path, args, t):
+    # an undecided round used to leave an unproved certificate with exit 1,
+    # and could outrank a decided trial
+    code, out, err = run(capsys, ["certify", *args])
+    assert code == 3 and out == ""
+    assert f"undecided: independent set({t}) search exhausted budget" in err
+    assert "Traceback" not in err
+    path = tmp_path / "und.json"
+    code, out, _ = run(capsys, ["certify", *args, "--out", str(path)])
+    assert code == 3 and out == "" and not path.exists()
+
+
+def test_budgeted_verify_names_the_search_that_ran_out(capsys, tmp_path):
+    # bip(11, 2)'s k3 check decides within the budget; its alpha search does not
+    path = tmp_path / "b11.json"
+    argv = ["certify", "--family", "bip", "--q", "11", "--s", "2", "--pattern", "k3"]
+    assert run(capsys, [*argv, "--out", str(path)])[0] == 0
+    code, out, _ = run(capsys, ["verify", "--cert", str(path), "--budget", "100"])
+    assert code == 3
+    assert json.loads(out)["detail"] == (
+        "exact checks exceeded budget: independent set(25) search exhausted budget 100"
+    )
+
+
 def test_certify_families(capsys):
     code, out, _ = run(capsys, ["certify", "--family", "unital-transfer", "--q", "2", "--trials", "3", "--seed", "42"])
     assert code == 0

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import gf_reference as ref
+import graph_reference
 from ramseyforge import geometry as geo
 from ramseyforge import graphcore as gc
 from ramseyforge.gf import op_tables, spec_for
@@ -86,6 +87,7 @@ def test_polarity_absolute_points_match_object_arithmetic(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_polarity_parameters(q):
     G = geo.polarity_graph(q)
+    graph_reference.assert_simple(G)
     absolute = ref.absolute_points_by_objects(spec_for(q))
     assert G.n == q * q + q + 1
     assert Counter(G.degrees) == {q: q + 1, q + 1: q * q}
@@ -227,7 +229,7 @@ def test_unital_line_hypergraph(q, n, r, d):
     H = geo.unital_line_hypergraph(q)
     assert H.n == n and H.r == r
     assert len(H.edges) == q**3 + 1
-    assert H.is_regular() and H.regular_degree() == d
+    assert len(set(H.degrees)) == 1 and H.regular_degree() == d
 
 
 def unital_blocks_by_form(q):
@@ -410,6 +412,12 @@ def test_bip_rows_match_form_evaluation(q, s):
         symmetrized.append(packed(acc == 0) & ~(1 << v))
     assert list(geo.bip_graph(q, s, "canonical").rows) == canonical
     assert list(geo.bip_graph(q, s, "symmetrized").rows) == symmetrized
+
+
+@pytest.mark.parametrize("q,s", [(5, 2), (7, 2), (3, 3)])
+@pytest.mark.parametrize("variant", ["canonical", "symmetrized"])
+def test_bip_graph_rows_are_simple(q, s, variant):
+    graph_reference.assert_simple(geo.bip_graph(q, s, variant))
 
 
 def test_bip_vertex_points_agree():

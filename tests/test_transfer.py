@@ -104,7 +104,9 @@ def test_bichromatic_matches_pairwise_reference(q):
     H = geo.unital_line_hypergraph(q)
     for seed in range(150):
         coloring = tr.random_coloring(H, seed)
-        assert tr.bichromatic_subgraph(H, coloring) == pairwise_bichromatic(H, coloring)
+        G = tr.bichromatic_subgraph(H, coloring)
+        ref.assert_simple(G)
+        assert G == pairwise_bichromatic(H, coloring)
     # the all-zero and all-one colorings keep nothing; a 1/r split keeps r-1 per edge
     for bits in (0, (1 << H.r) - 1):
         none = (bits,) * len(H.edges)
