@@ -37,59 +37,25 @@ def _iter_bits(mask: int) -> Iterator[int]:
         yield v
 
 
-# Up to this many bits, one shift or sum per bit is quickest.  Reading a
-# mask's bits and rebuilding it both ways (2-core x86-64, CPython 3.11,
-# median of 15 interleaved rounds): at 8 bits shift and sum take 3.7 / 4.9 /
-# 6.5 us on rows of 128 / 512 / 2451 bits and the digits 4.4 / 7.1 / 15.8 us;
-# the two tie between 32 and 48 bits; at 96 bits the digits win, 35.9 / 47.5
-# us against 38.9 / 64.9 us on rows of 512 / 2451 bits.
-_FEW_BITS = 40
-
-
-def _bit_list(mask: int) -> list[int]:
-    """The set bits of mask, ascending.  Past _FEW_BITS of them they are
-    read off the binary digits, in time linear in the mask's length: each
-    shift of _iter_bits copies the rest of the mask."""
-    if mask.bit_count() <= _FEW_BITS:
-        return list(_iter_bits(mask))
-    digits = bin(mask)[:1:-1]  # digits[i] is bit i
-    bits, i = [], digits.find("1")
-    while i >= 0:
-        bits.append(i)
-        i = digits.find("1", i + 1)
-    return bits
-
-
-def _from_bits(bits: Sequence[int]) -> int:
-    """The mask with the distinct `bits` set.  Past _FEW_BITS of them it is
-    parsed from binary digits, in time linear in the top bit: each sum of a
-    power of two copies the growing mask."""
-    if len(bits) <= _FEW_BITS:
-        return sum(1 << b for b in bits)
-    top = max(bits)
-    digits = bytearray(b"0") * (top + 1)  # digits[top - i] is bit i
-    for b in bits:
-        digits[top - b] = 49  # ord("1")
-    return int(digits, 2)
-
-
 # Up to this many bits in len(rows) x len(order), _relabel gathers through a
-# bit matrix of that size, unpacked at one byte per bit.  Per-bit walk against
-# matrix (2-core x86-64, CPython 3.11, numpy 2.4, median of 15 interleaved
-# rounds): the deletion loop's ER_13 subgraphs of n = m = 44 / 106 / 183 take
-# 146 / 619 / 1524 us against 47 / 138 / 302 us, and 512 rows of ER_49 (2^20
-# bits) 5.4 ms against 2.1 ms.  On a star with 2^15 leaves the two tie up to
-# 2^20 bits (32 rows: 244 / 209 us); past it the matrix loses, 353 / 447 us
-# at 64 rows and 887 / 1983 us at 256.
+# bit matrix of that size, unpacked at one byte per bit; past it, through edge
+# arrays.  Matrix against arrays (2-core x86-64, CPython 3.11, numpy 2.4,
+# median of 15 rounds): the deletion loop's ER_13 subgraphs of n = m = 44 /
+# 183 take 29 / 171 us against 129 / 449 us.  The two cross between 2^20 and
+# 2^21 bits: 512 / 1024 rows of ER_49 take 1.9 / 7.1 ms against 2.4 / 6.6 ms,
+# 512 / 1024 rows of ER_81 3.1 / 10.1 ms against 3.7 / 8.3 ms, and 32 / 64
+# rows of a star with 2^15 leaves 101 / 266 us against 140 / 204 us.
 _DENSE_BITS = 2**20
 
 
 def _relabel(rows: Sequence[int], order: Sequence[int]) -> list[int]:
     """Rows of the subgraph induced on the distinct vertices `order`, in
-    which vertex i is order[i].  While len(rows) * len(order) is at most
-    _DENSE_BITS, the kept rows are unpacked into a bit matrix whose columns
-    `order` are packed back.  Past it only the kept bits of each row are
-    walked, so each row costs time linear in its length and its degree."""
+    which vertex i is order[i].  `rows` are a Graph's rows: symmetric and
+    loopless.  While len(rows) * len(order) is at most _DENSE_BITS, the kept
+    rows are unpacked into a bit matrix whose columns `order` are packed
+    back.  Past it the kept rows are masked to the kept vertices, their
+    edges read by _edge_arrays, relabelled and rebuilt by _pair_rows, so
+    each row costs time linear in its length and its kept degree."""
     n, m = len(rows), len(order)
     if 0 < n * m <= _DENSE_BITS:
         width, kept = (n + 7) >> 3, (m + 7) >> 3
@@ -98,9 +64,17 @@ def _relabel(rows: Sequence[int], order: Sequence[int]) -> list[int]:
         bits = np.unpackbits(matrix, axis=1, bitorder="little")[:, order]
         packed = np.packbits(bits, axis=1, bitorder="little").tobytes()
         return [int.from_bytes(packed[i : i + kept], "little") for i in range(0, m * kept, kept)]
-    pos = {v: i for i, v in enumerate(order)}
-    mask = _from_bits(order)
-    return [_from_bits([pos[u] for u in _bit_list(rows[v] & mask)]) for v in order]
+    pos = np.full(n, -1)
+    pos[order] = np.arange(m)
+    mask = int.from_bytes(np.packbits(pos >= 0, bitorder="little").tobytes(), "little")
+    # masked first, so only kept columns are unpacked and looked up in pos;
+    # each edge appears in both its rows and is kept once, as r < c
+    blocks = []
+    for r, c in _edge_arrays([rows[v] & mask for v in order], np.zeros(m, np.int64)):
+        c = pos[c]
+        below = r < c
+        blocks.append(np.stack((r[below], c[below]), axis=1))
+    return _pair_rows(m, blocks)
 
 
 # Rows change to and from (row, column) arrays a block of rows at a time:
@@ -123,14 +97,13 @@ def _byte_blocks(ends: np.ndarray, size: int) -> Iterator[tuple[int, int]]:
             lo = hi
 
 
-def _edge_arrays(n: int, rows: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The (row, column) of every set bit of `rows` above the diagonal, in
-    row-major order, one block of rows at a time.  Row v is read as the
-    little-endian bytes of row >> (v + 1) and only the nonzero bytes are
-    unpacked, so the cost is linear in the rows' total byte length and empty
-    rows cost no scan."""
-    skip = np.arange(1, n + 1)
-    size = (np.maximum(np.fromiter(map(int.bit_length, rows), np.int64, n) - skip, 0) + 7) >> 3
+def _edge_arrays(rows: Sequence[int], skip: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (row, column) of every set bit of `rows` at or above bit skip[v]
+    of row v, in row-major order, one block of rows at a time; skip 1..n
+    gives a Graph's edges u < v.  Row v is read as the little-endian bytes
+    of row >> skip[v] and only the nonzero bytes are unpacked, so the cost
+    is linear in the rows' total byte length and empty rows cost no scan."""
+    size = (np.maximum(np.fromiter(map(int.bit_length, rows), np.int64, len(rows)) - skip, 0) + 7) >> 3
     ends = np.cumsum(size)
     starts = ends - size
     for lo, hi in _byte_blocks(ends, _SCAN_BYTES):
@@ -253,7 +226,7 @@ class Graph:
         ints = np.arange(self.n).astype(object)
         return chain.from_iterable(
             zip(ints[r].tolist(), ints[c].tolist())
-            for r, c in _edge_arrays(self.n, self.rows)
+            for r, c in _edge_arrays(self.rows, np.arange(1, self.n + 1))
         )
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
@@ -814,13 +787,16 @@ def _iter_cycles_exact(G: Graph, k: int, budget: int | None) -> Iterator[list[in
                     stack.append(_iter_bits(G.rows[v] & allowed & ~used))
 
 
+def _common_counts(rows: Sequence[int]) -> Iterator[int]:
+    """The number of common neighbours of u and v for each edge uv, u < v."""
+    for r, c in _edge_arrays(rows, np.arange(1, len(rows) + 1)):
+        for u, v in zip(r.tolist(), c.tolist()):
+            yield (rows[u] & rows[v]).bit_count()
+
+
 def _edge_with_common(rows: Sequence[int], k: int) -> bool:
     """True when some edge uv has k common neighbours of u and v."""
-    return any(
-        (row & rows[u + 1 + i]).bit_count() >= k
-        for u, row in enumerate(rows)
-        for i in _bit_list(row >> (u + 1))
-    )
+    return any(common >= k for common in _common_counts(rows))
 
 
 def is_pattern_free(
@@ -853,13 +829,9 @@ def is_pattern_free(
 
 
 def triangle_count(G: Graph) -> int:
-    """Exact number of triangles (each counted once, by sorted vertex order)."""
-    total = 0
-    for u in range(G.n):
-        for v in _iter_bits(G.rows[u] >> (u + 1) << (u + 1)):
-            common = G.rows[u] & G.rows[v]
-            total += (common >> (v + 1)).bit_count()
-    return total
+    """Exact number of triangles: each of its three edges uv counts it once
+    among the common neighbours of u and v."""
+    return sum(_common_counts(G.rows)) // 3
 
 
 # --- text interchange ---------------------------------------------------------
@@ -871,7 +843,7 @@ def write_graph(G: Graph, fh, header: dict | None = None) -> None:
     head = dict(header or {})
     head["n"] = G.n
     fh.write("# " + json.dumps(head, sort_keys=True) + "\n")
-    for r, c in _edge_arrays(G.n, G.rows):
+    for r, c in _edge_arrays(G.rows, np.arange(1, G.n + 1)):
         fh.write(("%d %d\n" * len(r)) % tuple(np.stack((r, c), axis=1).ravel().tolist()))
 
 

@@ -201,8 +201,7 @@ def test_bit_lists_and_masks_agree_with_single_bits(count):
     for top in (count, 3 * count + 7, 5000):
         bits = sorted(rng.sample(range(top + 1), min(count, top + 1)))
         mask = sum(1 << b for b in bits)
-        assert gc._bit_list(mask) == bits == list(gc._iter_bits(mask))
-        assert gc._from_bits(bits) == mask == gc._from_bits(bits[::-1])
+        assert list(gc._iter_bits(mask)) == bits
 
 
 def test_relabel_linear_in_row_length():
@@ -226,12 +225,12 @@ def reference_relabel(rows, order):
 
 def test_packed_relabel_matches_per_bit_relabel(monkeypatch):
     # orders are empty, single, sorted or shuffled as the search's degree
-    # order is, and rows keep bits of vertices outside the order; the two
-    # sizes about the crossover have sparse rows, so the per-bit walk is quick
+    # order is, and rows keep bits of vertices outside the order; the rows
+    # are a Graph's, symmetric and loopless, as _relabel takes them
     rng = random.Random(1515)
     cases = []
     for n in (0, 1, 2, 7, 8, 9, 15, 17, 63, 65, 106, 183):
-        rows = [rng.getrandbits(n) for _ in range(n)]
+        rows = random_graph(n, 0.5, rng).rows
         for m in {m for m in (0, 1, n // 3, n - 1, n) if 0 <= m <= n}:
             order = rng.sample(range(n), m)
             cases += [(rows, order), (rows, sorted(order))]
@@ -239,15 +238,30 @@ def test_packed_relabel_matches_per_bit_relabel(monkeypatch):
         assert gc._relabel(rows, order) == reference_relabel(rows, order)
     side = math.isqrt(gc._DENSE_BITS)
     assert side * side == gc._DENSE_BITS
-    for n in (side, side + 1):  # packed at n * n = _DENSE_BITS, per bit past it
-        rows = [sum(1 << u for u in rng.sample(range(n), 20)) for _ in range(n)]
-        cases += [(rows, rng.sample(range(n), n)), (rows, rng.sample(range(n), n // 2))]
+    for n in (side, side + 1):  # bit matrix at n * n = _DENSE_BITS, edge arrays past it
+        for p in (20 / n, 0.5):  # sparse rows, and dense ones
+            rows = random_graph(n, p, rng).rows
+            cases += [(rows, rng.sample(range(n), n)), (rows, rng.sample(range(n), n // 2))]
     for rows, order in cases:
         want = gc._relabel(rows, order)
-        for dense_bits in (0, len(rows) * len(order)):  # per bit, packed
+        for dense_bits in (0, len(rows) * len(order)):  # edge arrays, bit matrix
             monkeypatch.setattr(gc, "_DENSE_BITS", dense_bits)
             assert gc._relabel(rows, order) == want
         monkeypatch.undo()
+
+
+def test_edge_array_relabel_reads_only_kept_columns(monkeypatch):
+    # the kept rows are masked before they are read, so a few rows of a star
+    # cost their kept bits, not the length of the centre row
+    n = 2**15 + 1
+    rows = [(1 << n) - 2] + [1] * (n - 1)
+    order = [0, 5, 3, n - 1]
+    read, edge_arrays = [], gc._edge_arrays
+    monkeypatch.setattr(gc, "_edge_arrays", lambda kept_rows, skip: read.extend(kept_rows) or edge_arrays(kept_rows, skip))
+    monkeypatch.setattr(gc, "_DENSE_BITS", 0)
+    assert gc._relabel(rows, order) == reference_relabel(rows, order)
+    kept = sum(1 << v for v in order)
+    assert len(read) == len(order) and all(row & ~kept == 0 for row in read)
 
 
 def test_induced_matches_pair_scan():
@@ -768,7 +782,7 @@ def test_clique_screen_keeps_the_search_answer():
 
 
 def test_clique_screen_matches_pair_scan_on_dense_rows():
-    # rows past _FEW_BITS bits are read off their digits
+    # dense rows, whose bytes are nearly all nonzero and unpacked
     rng = random.Random(13)
     for _ in range(20):
         n = rng.randint(60, 120)
@@ -1179,15 +1193,31 @@ def noisy_edge_lists(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(noisy_edge_lists())
-def test_graph_io_roundtrip_with_noise(case):
+@given(noisy_edge_lists(), st.permutations(range(24)))
+def test_graph_io_roundtrip_with_noise(case, perm):
+    # the other bulk readers of rows are checked under the same block sizes
     G, body, (scan_bytes, row_bytes, read_chars) = case
-    with mock.patch.multiple(gc, _SCAN_BYTES=scan_bytes, _ROW_BYTES=row_bytes, _READ_CHARS=read_chars):
+    common = [
+        (G.rows[u] & G.rows[v]).bit_count()
+        for u, v in itertools.combinations(range(G.n), 2) if G.has_edge(u, v)
+    ]
+    triangles = sum(
+        1 for a, b, c in itertools.combinations(range(G.n), 3)
+        if G.has_edge(a, b) and G.has_edge(b, c) and G.has_edge(a, c)
+    )
+    order = [v for v in perm if v < G.n]
+    with mock.patch.multiple(gc, _SCAN_BYTES=scan_bytes, _ROW_BYTES=row_bytes, _READ_CHARS=read_chars,
+                             _DENSE_BITS=0):
         buf = io.StringIO()
         gc.write_graph(G, buf)
         assert buf.getvalue() == f'# {{"n": {G.n}}}\n' + reference_edge_list(G)
         assert gc.read_graph(io.StringIO(buf.getvalue()))[0] == G
         H, _ = gc.read_graph(io.StringIO(f'# {{"n": {G.n}}}\n{body}'))
+        for k in (1, 2):
+            assert gc._edge_with_common(G.rows, k) == any(c >= k for c in common)
+        assert gc.triangle_count(G) == triangles
+        for kept in (order, order[: G.n // 2]):
+            assert gc._relabel(G.rows, kept) == reference_relabel(G.rows, kept)
     assert H == G and list(H.edges()) == list(G.edges())
 
 
