@@ -70,12 +70,19 @@ def _sparse_m_subset(
     """Depth-first search over the m-subsets X of G for e(X) < bound.
 
     Vertices are tried in index order, "include v" before "exclude v", so
-    m-subsets are reached in itertools.combinations order.  The edge count
-    is kept as the subset grows, and a branch is cut once it reaches the
-    bound: adding vertices never removes edges.  Each leaf reached lowers
-    the bound to its own count, so the search ends on the first sparsest
-    m-subset; with `first` it stops at the first leaf instead.  Returns
-    (e(X), X), or None when no m-subset spans fewer than `bound` edges.
+    m-subsets are reached in itertools.combinations order.  Each leaf
+    reached lowers the bound to its own count, so the search ends on the
+    first sparsest m-subset; with `first` it stops at the first leaf
+    instead.  Returns (e(X), X), or None when no m-subset spans fewer than
+    `bound` edges.
+
+    A node holds the chosen set S and still needs `need` vertices from
+    those >= start.  Any completion T gives e(S + T) = e(S) + e(T) + the
+    sum over w in T of |N(w) & S|, at least e(S) plus the `need` smallest
+    values of |N(w) & S|; once that reaches the bound the node is cut.  A
+    cut drops only subtrees whose every leaf is at or above the current
+    bound, which never rises, so the search meets the same improving
+    leaves in the same order and returns what the uncut search returns.
     """
     n, rows = G.n, G.rows
     chosen: list[int] = []
@@ -83,11 +90,15 @@ def _sparse_m_subset(
 
     def extend(start: int, mask: int, edges: int) -> bool:
         nonlocal bound, found
-        if len(chosen) == m:
+        need = m - len(chosen)
+        if not need:
             bound, found = edges, (edges, tuple(chosen))
             return first
-        for v in range(start, n - m + len(chosen) + 1):
-            e = edges + (rows[v] & mask).bit_count()
+        gains = [(row & mask).bit_count() for row in rows[start:]]
+        if edges + sum(sorted(gains)[:need]) >= bound:
+            return False
+        for v in range(start, n - need + 1):
+            e = edges + gains[v - start]
             if e < bound:
                 chosen.append(v)
                 if extend(v + 1, mask | 1 << v, e):
@@ -112,8 +123,8 @@ def check_pseudorandom(
     of e(Y)/C(k-1, 2) over the (k-1)-subsets Y of X, so a violator of size
     k has one of size k - 1.  Both modes therefore test the k-subsets
     against ceil(alpha C(k, 2)) edges.  Exhaustive mode (n <= 24) searches
-    them in combinations order, cutting every branch whose edges already
-    reach the bound, and returns the first violator.  Sampled mode draws
+    them in combinations order, cutting every node that no completion can
+    take below the bound, and returns the first violator.  Sampled mode draws
     `samples` >= 1 seeded uniform k-subsets, counts their edges on G's rows
     and reports the smallest sorted violator; with k > n there is nothing
     to draw and nothing that can violate.

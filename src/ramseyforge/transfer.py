@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from .containers import PseudorandomParams, check_pseudorandom
 from .graphcore import ForbiddenPattern, Graph, LinearHypergraph, is_pattern_free
 
@@ -24,6 +26,8 @@ MIN_CONCENTRATION_SHADOW_EDGES = 100
 
 
 def _splitmix64(x: int) -> int:
+    """splitmix64's output function; on a uint64 array it works elementwise,
+    the array's wrapping arithmetic doing what the masks do for an int."""
     x = (x + _WEYL) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -35,25 +39,24 @@ def derive_seed(master: int, index: int) -> int:
     return _splitmix64((master ^ (index * _WEYL)) & _MASK64)
 
 
-def _slot_bit(seed_state: int, edge_index: int, slot: int) -> int:
-    return _splitmix64(seed_state ^ ((edge_index << 20) | slot)) >> 63
-
-
 def random_coloring(H: LinearHypergraph, seed: int) -> tuple[int, ...]:
     """One independent fair 2-coloring per hyperedge, as one bit mask per
     hyperedge: bit j of mask e colors slot j (position j in the edge tuple)
-    of hyperedge e, and is a fixed function of (seed, e, j).  A vertex may
-    get different colors in different hyperedges."""
+    of hyperedge e, and is a fixed function of (seed, e, j): the top bit of
+    splitmix64(state ^ ((e << 20) | j)), with state = splitmix64(seed).  A
+    vertex may get different colors in different hyperedges.  All E * r
+    slot bits are drawn in one uint64 array pass, whose wrapping arithmetic
+    is splitmix64's mod 2^64, so a coloring replays bit for bit; each
+    hyperedge's r bits are packed little-endian into its mask."""
     if H.r >= 1 << 20:
         raise ValueError("hyperedge size out of range for slot derivation")
     state = _splitmix64(seed & _MASK64)
-    bits = []
-    for e in range(len(H.edges)):
-        b = 0
-        for j in range(H.r):
-            b |= _slot_bit(state, e, j) << j
-        bits.append(b)
-    return tuple(bits)
+    u64 = np.uint64
+    x = np.arange(len(H.edges), dtype=u64)[:, None] << u64(20) | np.arange(H.r, dtype=u64)
+    bits = _splitmix64(x ^ u64(state)) >> 63
+    packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+    width, raw = packed.shape[1], packed.tobytes()
+    return tuple(int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width))
 
 
 def bichromatic_subgraph(H: LinearHypergraph, coloring: tuple[int, ...]) -> Graph:

@@ -4,8 +4,10 @@ An oracle for the tests: a bit-by-bit check that a Graph's rows make a
 simple graph, a witness checker that re-reads a returned clique or cycle
 edge by edge, a shadow graph built pair by pair, a strong-freeness
 test that lists every copy of a pattern in the shadow graph and 2-colours
-each hyperedge's part of it, a reader of write_hypergraph's text, and the
-recursive cycle walk that graphcore's explicit-stack walk must match.  Only
+each hyperedge's part of it, a reader of write_hypergraph's text, the
+recursive cycle walk that graphcore's explicit-stack walk must match, the
+per-slot coloring that transfer's array pass must match, and the m-subset
+search without the counting cut that containers' search must match.  Only
 the tests import this module.
 """
 
@@ -23,6 +25,7 @@ from ramseyforge.graphcore import (
     _iter_bits,
     _read_header,
 )
+from ramseyforge.transfer import _MASK64, _splitmix64
 
 
 def assert_simple(G: Graph) -> None:
@@ -153,3 +156,41 @@ def two_coloring_strong_freeness(H: LinearHypergraph, F: ForbiddenPattern):
         if all(induced_piece_bipartite(copy, copy_edges, set(e)) for e in H.edges):
             return False, list(copy)
     return True, None
+
+
+def slot_coloring(H: LinearHypergraph, seed: int) -> tuple[int, ...]:
+    """transfer.random_coloring one slot at a time: bit j of mask e is the
+    top bit of splitmix64(state ^ ((e << 20) | j)), state = splitmix64(seed)."""
+    state = _splitmix64(seed & _MASK64)
+    masks = []
+    for e in range(len(H.edges)):
+        b = 0
+        for j in range(H.r):
+            b |= (_splitmix64(state ^ ((e << 20) | j)) >> 63) << j
+        masks.append(b)
+    return tuple(masks)
+
+
+def uncut_m_subset(G: Graph, m: int, bound: int, first: bool):
+    """containers._sparse_m_subset without its counting cut: a branch is
+    cut only once its own edge count reaches the bound."""
+    n, rows = G.n, G.rows
+    chosen: list[int] = []
+    found = None
+
+    def extend(start: int, mask: int, edges: int) -> bool:
+        nonlocal bound, found
+        if len(chosen) == m:
+            bound, found = edges, (edges, tuple(chosen))
+            return first
+        for v in range(start, n - m + len(chosen) + 1):
+            e = edges + (rows[v] & mask).bit_count()
+            if e < bound:
+                chosen.append(v)
+                if extend(v + 1, mask | 1 << v, e):
+                    return True
+                chosen.pop()
+        return False
+
+    extend(0, 0, 0)
+    return found

@@ -236,6 +236,16 @@ def test_transfer_output_pinned(capsys):
     )
 
 
+def test_transfer_q4_output_pinned(capsys):
+    # q = 4 colors 16 slots per hyperedge, two whole bytes per mask, where
+    # q = 3 colors 9
+    code, out, _ = run(capsys, ["transfer", "--q", "4", "--trials", "2", "--pattern", "k4", "--seed", "5"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e3cb674771f3b6149c9f20fc4b8d9024d6843ed0f2708d5460919408b26e1813"
+    )
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_sampled_checks_reject_empty_sample_budget(capsys, er3_file, samples):
     # with no subset drawn, nothing is checked and "ok" would be vacuous

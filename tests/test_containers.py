@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import graph_reference as ref
 from ramseyforge import containers as ct
 from ramseyforge import geometry as geo
 from ramseyforge import graphcore as gc
@@ -196,6 +197,19 @@ def test_sampled_mode_rejects_empty_sample_budget(samples):
     vacuous = ct.PseudorandomParams(Fraction(1, 2), 13, "exact-checked")
     with pytest.raises(ValueError):
         ct.check_pseudorandom(G, vacuous, mode="sampled", samples=samples)
+
+
+def test_sparse_m_subset_matches_uncut_search():
+    # the counting cut drops only subtrees without an improving leaf, so for
+    # every m, bound and mode the search returns the uncut search's (e, X)
+    rng = random.Random(2601)
+    for n in (1, 2, 3, 5, 8, 11, 14, 16):
+        G = random_graph(n, rng.uniform(0.2, 0.8), rng)
+        for m in range(1, n + 1):
+            for bound in range(math.comb(m, 2) + 2):
+                for first in (True, False):
+                    expected = ref.uncut_m_subset(G, m, bound, first)
+                    assert ct._sparse_m_subset(G, m, bound, first) == expected, (n, m, bound, first)
 
 
 def test_exact_alpha_hand_values():

@@ -33,6 +33,16 @@ def test_coloring_bits_are_fair():
     assert abs(ones / 10000 - 0.5) < 0.02
 
 
+@pytest.mark.parametrize("r", [1, 2, 8, 9, 16, 64])
+def test_coloring_matches_per_slot_reference(r):
+    # masks of one to eight bytes, on and just past a byte boundary, over
+    # about 4096 slots; seeds at both ends of the 64-bit range, and -1,
+    # which the seed's 64-bit mask takes to 2^64 - 1
+    H = LinearHypergraph(4096, [range(e * r, e * r + r) for e in range(4096 // r)])
+    for seed in (0, 1, 2**63, 2**64 - 1, -1):
+        assert tr.random_coloring(H, seed) == ref.slot_coloring(H, seed), seed
+
+
 def test_single_pair_edge_mean():
     H = LinearHypergraph(2, [(0, 1)])
     kept = [
