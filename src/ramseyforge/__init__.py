@@ -1,5 +1,5 @@
 """ramseyforge: finite-geometry pseudorandom graphs, exact structural and
-spectral verification, container-style independent-set counting, randomized
-transference, and replayable Ramsey lower-bound certificates."""
+spectral verification, randomized transference, and replayable Ramsey
+lower-bound certificates."""
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .graphcore import Graph
-from .spectral import SpectralReport, spectrum
+from .spectral import spectrum
 
 MAX_EXHAUSTIVE_N = 24
 
@@ -47,14 +47,13 @@ class PseudorandomCheck(NamedTuple):
     violator: tuple[int, ...] | None
 
 
-def mixing_derived_params(G: Graph, report: SpectralReport | None = None) -> PseudorandomParams:
+def mixing_derived_params(G: Graph) -> PseudorandomParams:
     """Parameters from the mixing lemma: alpha = d/(2n) (exact; E/n^2 when
     irregular), m = ceil(2 lambda n / d).  For |X| >= m the lemma gives
     lambda |X| <= (d/2n)|X|^2, hence e(X) >= (d/2n) C(|X|, 2)."""
     if G.edge_count == 0:
         raise ValueError("an edgeless graph has no mixing parameters")
-    if report is None:
-        report = spectrum(G)
+    report = spectrum(G)
     n = G.n
     if report.is_regular:
         alpha = Fraction(int(report.d), 2 * n)

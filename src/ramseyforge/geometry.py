@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from .gf import FieldSpec, op_tables, smallest_nonresidue, spec_for
-from .graphcore import Graph, LinearHypergraph, _merge_orbits
+from .graphcore import Graph, LinearHypergraph, _merge_orbits, _pair_rows
 
 MAX_POINTS = 1_000_000
 MAX_POLARITY_ORDER = 81
@@ -196,8 +196,8 @@ def polarity_graph(q) -> Graph:
     lines = _polar_lines(spec, P)
     u = np.repeat(np.arange(len(P), dtype=np.int32), lines.shape[1])
     v = lines.ravel()
-    # the arcs are distinct: a polar line's q+1 points have distinct indices
-    return Graph._from_arcs(len(P), [np.stack((u, v), axis=1)[u != v]])
+    # v is on u's polar line exactly when u is on v's: each edge once, as u < v
+    return Graph(len(P), _pair_rows(len(P), [np.stack((u, v), axis=1)[u < v]]))
 
 
 def polarity_reflections(q) -> list[tuple[int, ...]]:
@@ -296,15 +296,17 @@ def bip_graph(q, s: int, variant: str = "canonical") -> Graph:
     spec, V, weights = _square_type(q, s)
     add, mul, _, chi, _ = op_tables(spec)
     n = len(V)
-    arcs = []
+    edges = []
     step = max(1, 2**16 // n)  # rows per block: about 2**16 form values
     for start in range(0, n, step):
-        acc = _form_matrix(V[start : start + step], V, weights, add, mul)
-        # the arcs are distinct, as the positions np.nonzero lists are
+        # Q(x, y) = Q(y, x), so a block of rows is evaluated only against the
+        # columns from its first row on, and each edge is kept once, as u < v
+        acc = _form_matrix(V[start : start + step], V[start:], weights, add, mul)
         u, v = np.nonzero(chi[acc] == 1 if variant == "canonical" else acc == 0)
         u += start
-        arcs.append(np.stack((u, v), axis=1)[u != v].astype(np.int32))
-    return Graph._from_arcs(n, arcs)
+        v += start
+        edges.append(np.stack((u, v), axis=1)[u < v].astype(np.int32))
+    return Graph(n, _pair_rows(n, edges))
 
 
 def bip_reflections(q, s: int) -> list[tuple[int, ...]]:

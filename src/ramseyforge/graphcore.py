@@ -68,13 +68,10 @@ def _relabel(rows: Sequence[int], order: Sequence[int]) -> list[int]:
     pos[order] = np.arange(m)
     mask = int.from_bytes(np.packbits(pos >= 0, bitorder="little").tobytes(), "little")
     # masked first, so only kept columns are unpacked and looked up in pos;
-    # each edge appears in both its rows and is kept once, as r < c
-    blocks = []
-    for r, c in _edge_arrays([rows[v] & mask for v in order], np.zeros(m, np.int64)):
-        c = pos[c]
-        below = r < c
-        blocks.append(np.stack((r[below], c[below]), axis=1))
-    return _pair_rows(m, blocks)
+    # each kept edge is read once, from the row of its lower endpoint
+    skip = np.asarray(order, np.int64) + 1
+    edges = _edge_arrays([rows[v] & mask for v in order], skip)
+    return _pair_rows(m, [np.stack((r, pos[c]), axis=1) for r, c in edges])
 
 
 # Rows change to and from (row, column) arrays a block of rows at a time:
@@ -135,11 +132,12 @@ def _vertex_pairs(n: int, pairs: np.ndarray) -> np.ndarray:
 
 def _pair_rows(n: int, blocks: Sequence[np.ndarray]) -> list[int]:
     """Rows of the graph on 0..n-1 whose edges are the rows of the (m, 2)
-    arrays `blocks`, which are in range and loopless; repeated edges are
-    allowed.  The endpoints are sorted by row once, as keys r*n + c.  Each
-    row is laid out over the bytes from its lowest to its top bit, and a
-    block of rows is built by one byte-OR per endpoint into a zeroed buffer,
-    then read out row by row with int.from_bytes and shifted into place."""
+    arrays `blocks`, which are in range and loopless; an edge may come in
+    either orientation, and more than once.  Both endpoints of each are
+    sorted by row once, as keys r*n + c.  Each row is laid out over the
+    bytes from its lowest to its top bit, and a block of rows is built by
+    one byte-OR per endpoint into a zeroed buffer, then read out row by row
+    with int.from_bytes and shifted into place."""
     m = sum(map(len, blocks))
     # int32 when the keys, and the bit offsets of the rows laid end to end, fit
     key = np.empty(2 * m, np.int32 if n * (n + 8) < 2**31 else np.int64)
@@ -192,17 +190,6 @@ class Graph:
         self.rows = tuple(rows)
         self.degrees = tuple(map(int.bit_count, self.rows))
         self.edge_count = sum(self.degrees) // 2
-
-    @classmethod
-    def _from_arcs(cls, n: int, blocks: Sequence[np.ndarray]) -> "Graph":
-        """The Graph whose edges are the distinct arcs (u, v) in the (m, 2)
-        arrays `blocks`; ValueError unless they are closed under reversal, as
-        they are exactly when they number twice the edges they make."""
-        blocks = [_vertex_pairs(n, arcs) for arcs in blocks]
-        G = cls(n, _pair_rows(n, blocks))
-        if 2 * G.edge_count != sum(map(len, blocks)):
-            raise ValueError("arcs not closed under reversal")
-        return G
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

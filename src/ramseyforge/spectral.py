@@ -51,8 +51,6 @@ def symmetric_eigenvalues(matrix) -> np.ndarray:
         raise ValueError("matrix is not symmetric")
     if n == 0:
         return np.zeros(0)
-    if n == 1:
-        return np.array([float(M[0, 0])])
     vals, V = np.linalg.eigh(M)
     R = M @ V
     R -= V * vals

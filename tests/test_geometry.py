@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -412,6 +413,19 @@ def test_bip_rows_match_form_evaluation(q, s):
         symmetrized.append(packed(acc == 0) & ~(1 << v))
     assert list(geo.bip_graph(q, s, "canonical").rows) == canonical
     assert list(geo.bip_graph(q, s, "symmetrized").rows) == symmetrized
+
+
+def test_bip_graph_memory():
+    # both arcs of every edge, keyed in both orientations, peaked at 23.0
+    # MiB; each edge once, from the columns at or past its row, at 11.5 MiB
+    tracemalloc.start()
+    try:
+        G = geo.bip_graph(7, 4, "canonical")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.n == len(geo._square_type(7, 4)[1])
+    assert peak < 17 * 2**20
 
 
 @pytest.mark.parametrize("q,s", [(5, 2), (7, 2), (3, 3)])

@@ -15,7 +15,6 @@ import warnings
 from collections import Counter
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,9 +105,6 @@ def test_graph_builders_make_simple_graphs():
         n = rng.randint(0, 30)
         G = random_graph(n, rng.random(), rng)  # from_edges
         ref.assert_simple(G)
-        arcs = [(u, v) for u in range(n) for v in G.neighbors(u)]
-        rng.shuffle(arcs)
-        ref.assert_simple(Graph._from_arcs(n, [np.array(arcs, np.int64).reshape(-1, 2)]))
         text = io.StringIO()
         gc.write_graph(G, text)
         text.seek(0)
@@ -136,24 +132,6 @@ def test_orbital_leaves_are_simple(monkeypatch, family, params):
     assert len(leaves) > 1
     for leaf in leaves:
         ref.assert_simple(leaf)
-
-
-def test_arcs_missing_a_reverse_are_rejected():
-    rng = random.Random(14)
-    for _ in range(40):
-        n = rng.randint(2, 30)
-        G = random_graph(n, rng.random(), rng)
-        arcs = [(u, v) for u in range(n) for v in G.neighbors(u)]
-        rng.shuffle(arcs)
-        a, b = sorted(rng.sample(range(len(arcs) + 1), 2))
-        blocks = [np.array(part, np.int32).reshape(-1, 2) for part in (arcs[:a], arcs[a:b], arcs[b:])]
-        assert Graph._from_arcs(n, blocks) == G
-        if arcs:
-            blocks[0] = np.array(arcs[1:], np.int32).reshape(-1, 2)
-            with pytest.raises(ValueError, match="arcs not closed under reversal"):
-                Graph._from_arcs(n, blocks[:1])
-    with pytest.raises(ValueError, match="loop at vertex 2"):
-        Graph._from_arcs(3, [np.array([(0, 1), (1, 0), (2, 2)])])
 
 
 def test_keys_past_int32():
@@ -263,6 +241,29 @@ def test_edge_array_relabel_reads_only_kept_columns(monkeypatch):
     assert gc._relabel(rows, order) == reference_relabel(rows, order)
     kept = sum(1 << v for v in order)
     assert len(read) == len(order) and all(row & ~kept == 0 for row in read)
+
+
+def test_edge_array_relabel_reads_each_kept_edge_once(monkeypatch):
+    # each kept row is read from just past its own vertex, so an edge is
+    # yielded once, from its lower endpoint's row, not from both its rows
+    yielded, edge_arrays = [], gc._edge_arrays
+
+    def counted(kept_rows, skip):
+        for r, c in edge_arrays(kept_rows, skip):
+            yielded.append(len(r))
+            yield r, c
+
+    monkeypatch.setattr(gc, "_edge_arrays", counted)
+    monkeypatch.setattr(gc, "_DENSE_BITS", 0)
+    rng = random.Random(2627)
+    for n in (0, 1, 2, 9, 40, 130):
+        G = random_graph(n, rng.random(), rng)
+        for m in (n, n // 2):
+            order = rng.sample(range(n), m)
+            yielded.clear()
+            relabelled = gc._relabel(G.rows, order)
+            assert relabelled == reference_relabel(G.rows, order)
+            assert sum(yielded) == sum(map(int.bit_count, relabelled)) // 2
 
 
 def test_induced_matches_pair_scan():

@@ -80,6 +80,17 @@ def test_symmetric_eigenvalues_guards():
         sp.spectrum(Graph(sp.MAX_SPECTRUM_N + 1, [0] * (sp.MAX_SPECTRUM_N + 1)))
 
 
+def test_one_by_one_matrix_gets_the_eigenpair_checks():
+    # a 1 x 1 matrix was returned as its entry, unchecked, so [[inf]] gave
+    # [inf] while [[inf, 0], [0, 1]] was refused
+    for x in (math.inf, -math.inf):
+        with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match="residual"):
+            sp.symmetric_eigenvalues(np.array([[x]]))
+    for x in (0.0, -0.0, -3.5, 7.25, 1e300, 5e-324):
+        vals = sp.symmetric_eigenvalues(np.array([[x]]))
+        assert vals.shape == (1,) and vals[0].tobytes() == np.float64(x).tobytes()
+
+
 def corrupted_eigh(monkeypatch, corrupt):
     """Make spectral's LAPACK call hand back eigenpairs passed through corrupt."""
     eigh = np.linalg.eigh
