@@ -242,7 +242,7 @@ def verify_certificate(
         G = build_family(cert.family, cert.params)
         F = ForbiddenPattern.parse(cert.pattern)
         sampled = sampled_vertices(G.n, float(cert.params.get("p", 1.0)), cert.seed)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         return VerificationResult("INVALID", None, None, False, f"reconstruction failed: {exc}")
     pool = set(sampled)
     for v in cert.deletion_trace:

@@ -243,20 +243,27 @@ def _unital_blocks(q) -> np.ndarray:
 def unital_line_hypergraph(q) -> LinearHypergraph:
     """Dual of the Hermitian unital: one vertex per block, one hyperedge per
     unital point collecting the q^2 blocks through it, in ascending order.
-    Two points share at most one block exactly when two blocks share at
-    most one point, so the dual's linearity check is the unital's."""
+    The blocks are checked to form a 2-(q^3+1, q+1, 1) design, so two
+    points share exactly one block, and two blocks share at most one point:
+    the dual is linear, which LinearHypergraph takes on trust."""
     blocks = _unital_blocks(q)  # the PG(2, q^2) arrays are freed here
     v, b = q**3 + 1, len(blocks) // (q + 1)
-    # a 2-(q^3+1, q+1, 1) design: q^2 blocks through every point, and the
-    # blocks, any two sharing at most one point, cover every pair of points
+    # a 2-(q^3+1, q+1, 1) design: q^2 blocks through every point, the
+    # b C(q+1, 2) pairs inside the blocks all distinct (no pair in two
+    # blocks), and b C(q+1, 2) = C(v, 2), so they are every pair of points
+    a, c = np.triu_indices(q + 1, 1)
+    rows = np.sort(blocks.reshape(b, q + 1), axis=1)
+    seen = np.zeros(v * v, bool)
+    seen[rows[:, a] * v + rows[:, c]] = True
     if (
         (np.bincount(blocks, minlength=v) != q * q).any()
         or b != q * q * (q * q - q + 1)
         or b * (q + 1) * q != v * (v - 1)
+        or np.count_nonzero(seen) != b * len(a)
     ):
         raise AssertionError("unital block structure is not a 2-design")
     through = np.argsort(blocks, kind="stable").reshape(v, q * q) // (q + 1)
-    return LinearHypergraph(b, through.tolist())
+    return LinearHypergraph(b, tuple(map(tuple, through.tolist())))
 
 
 # -- quadratic-character graphs ---------------------------------------------

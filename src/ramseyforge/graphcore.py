@@ -251,54 +251,23 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def _shadow_rows(n: int, edges: Sequence[Sequence[int]]) -> list[int]:
-    """Bitset shadow rows of hyperedges on vertices 0..n-1; raises
-    ValueError when a vertex pair lies in two hyperedges (not linear)."""
-    rows = [0] * n
-    for idx, e in enumerate(edges):
-        mask = sum(1 << v for v in e)
-        for v in e:
-            clash = rows[v] & mask
-            if clash:
-                u = (clash & -clash).bit_length() - 1
-                first = next(i for i, f in enumerate(edges) if u in f and v in f)
-                raise ValueError(
-                    f"vertex pair {tuple(sorted((u, v)))} lies in hyperedges {first} and {idx}"
-                )
-            rows[v] |= mask ^ (1 << v)
-    return rows
-
-
 class LinearHypergraph:
-    """Uniform hypergraph in which any two hyperedges share at most one vertex."""
+    """Uniform hypergraph in which any two hyperedges share at most one vertex.
+
+    The hyperedges are taken as built: a sequence of sorted tuples, each of
+    r >= 1 distinct vertices in 0..n-1, no two of them sharing a vertex
+    pair.  Nothing is re-checked here: unital_line_hypergraph, the one
+    builder, checks that its blocks form a 2-design, which makes its dual
+    linear."""
 
     __slots__ = ("n", "edges", "r", "degrees")
 
-    def __init__(self, n: int, edges: Iterable[Sequence[int]]):
-        edge_list = []
-        for e in edges:
-            e = tuple(sorted(e))
-            if len(set(e)) != len(e):
-                raise ValueError(f"repeated vertex in hyperedge {e}")
-            if e and not (0 <= e[0] and e[-1] < n):
-                raise ValueError(f"hyperedge {e} out of range")
-            edge_list.append(e)
-        if not edge_list:
-            raise ValueError("hypergraph needs at least one hyperedge")
-        sizes = {len(e) for e in edge_list}
-        if len(sizes) != 1:
-            raise ValueError(f"non-uniform hyperedge sizes {sorted(sizes)}")
-        (self.r,) = sizes
-        if self.r < 1:
-            raise ValueError("hyperedges must be nonempty")
-        _shadow_rows(n, edge_list)
+    def __init__(self, n: int, edges: Sequence[tuple[int, ...]]):
         self.n = n
-        self.edges = tuple(edge_list)
-        degrees = [0] * n
-        for e in edge_list:
-            for v in e:
-                degrees[v] += 1
-        self.degrees = tuple(degrees)
+        self.edges = edges
+        self.r = len(edges[0])
+        vertices = np.fromiter(chain.from_iterable(edges), np.intp)
+        self.degrees = tuple(np.bincount(vertices, minlength=n).tolist())
 
     def regular_degree(self) -> int:
         if len(set(self.degrees)) != 1:

@@ -20,6 +20,7 @@ from ramseyforge import geometry as geo
 from ramseyforge import gf
 from ramseyforge import graphcore as gc
 from ramseyforge import transfer as tr
+from ramseyforge.certify import RamseyCertificate, verify_certificate
 from ramseyforge.cli import dispatch
 from ramseyforge.graphcore import read_graph
 
@@ -747,6 +748,21 @@ def test_verify_accepts_the_params_certify_writes(capsys, tmp_path):
         path.write_text(json.dumps(cert))
         code, out, _ = run(capsys, ["verify", "--cert", str(path)])
         assert (code, json.loads(out)["status"]) == (0, "VALID")
+
+
+def test_verify_rejects_a_sampling_probability_too_large_for_a_float(capsys, tmp_path):
+    # an int p of 401 digits passes the field check, then overflowed float()
+    # while the witness was rebuilt, and verify ended in a traceback
+    cert = {"family": "er", "params": {"q": 3, "p": 10**400}, "pattern": "c4", "t": 6,
+            "witnessCount": 13, "seed": 0, "deletionTrace": [], "valid": True, "toolVersion": "0.1.0"}
+    result = verify_certificate(RamseyCertificate.from_json(json.dumps(cert)))
+    assert result.status == "INVALID" and result.detail.startswith("reconstruction failed: ")
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, out, err = run(capsys, ["verify", "--cert", str(path)])
+    payload = json.loads(out)
+    assert code == 1 and payload["status"] == "INVALID" and "Traceback" not in err
+    assert payload["detail"] == result.detail
 
 
 def without_wall_time(err: str) -> str:

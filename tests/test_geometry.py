@@ -260,23 +260,19 @@ def test_unital_blocks_match_line_by_line_evaluation(q):
     assert geo.unital_line_hypergraph(q).edges == dual(blocks, q**3 + 1)
 
 
-def is_linear(n, edges) -> bool:
-    """Whether LinearHypergraph takes the edges; it may refuse them only for
-    a vertex pair that lies in two hyperedges."""
-    try:
-        gc.LinearHypergraph(n, edges)
-    except ValueError as exc:
-        assert "lies in hyperedges" in str(exc)
-        return False
-    return True
+def repeats_a_pair(sets) -> bool:
+    """Reference pair count: whether some pair of points lies in two of the sets."""
+    counts = Counter(p for s in sets for p in itertools.combinations(sorted(s), 2))
+    return any(c > 1 for c in counts.values())
 
 
 @pytest.mark.parametrize("q", [2, 3])
-def test_primal_and_dual_linearity_agree(q):
-    # two points share at most one block exactly when two blocks share at
-    # most one point, so the line hypergraph's check stands for the
-    # unital's.  Swapping a point x of block i for a point y of block j
-    # keeps every block size and point degree, so both sides stay uniform.
+def test_primal_and_dual_linearity_agree(q, monkeypatch):
+    # the builder refuses blocks in which a pair of points lies in two
+    # blocks, and the dual of blocks it takes is linear: two points share at
+    # most one block.  Swapping a point x of block i for a point y of block
+    # j keeps every block size and point degree, so only the pair check can
+    # refuse the swapped design.
     v, blocks = q**3 + 1, unital_blocks_by_form(q)
     rng = random.Random(q)
     seen = set()
@@ -288,8 +284,15 @@ def test_primal_and_dual_linearity_agree(q):
             if xs and ys:
                 x, y = rng.choice(sorted(xs)), rng.choice(sorted(ys))
                 B[i][B[i].index(x)], B[j][B[j].index(y)] = y, x
-        linear = is_linear(v, B)
-        assert is_linear(len(B), dual(B, v)) == linear
+        monkeypatch.setattr(geo, "_unital_blocks", lambda q, B=B: np.array(B).ravel())
+        linear = not repeats_a_pair(B)
+        try:
+            H = geo.unital_line_hypergraph(q)
+        except AssertionError as exc:
+            assert not linear and "not a 2-design" in str(exc)
+        else:
+            assert linear and not repeats_a_pair(H.edges)
+            assert H.edges == dual(B, v)
         seen.add(linear)
     assert seen == {True, False}
 
@@ -402,7 +405,7 @@ def test_bip_matches_direct_arithmetic():
         assert geo.bip_graph(3, 2, variant) == gc.Graph.from_edges(len(verts), edges)
 
 
-@pytest.mark.parametrize("q,s", [(3, 2), (3, 4), (5, 3), (7, 2), (7, 3), (9, 3), (13, 2)])
+@pytest.mark.parametrize("q,s", [(3, 2), (3, 4), (5, 3), (5, 4), (7, 2), (7, 3), (9, 3), (11, 3), (13, 2)])
 def test_bip_rows_match_form_evaluation(q, s):
     spec = spec_for(q)
     _, V, weights = geo._square_type(q, s)
