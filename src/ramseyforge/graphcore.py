@@ -453,14 +453,14 @@ def _orbits(n: int, perms: Sequence[Sequence[int]], within: int) -> list[tuple[i
 class Automorphisms:
     """Vertex permutations of one graph, each checked to map every adjacency
     row onto the row of its image: perm[u] ~ perm[w] exactly when u ~ w.
-    Any group they generate is a subgroup of Aut(G), which is all that
-    orbital branching needs."""
+    That is, relabelling G by perm leaves its rows as they were.  Any group
+    they generate is a subgroup of Aut(G), which is all that orbital
+    branching needs."""
 
     __slots__ = ("rows", "perms")
 
     def __init__(self, G: Graph, perms: Iterable[Sequence[int]]):
         n, rows = G.n, G.rows
-        neighbours = [list(_iter_bits(row)) for row in rows]
         checked = []
         for i, perm in enumerate(perms):
             try:
@@ -471,8 +471,8 @@ class Automorphisms:
                 raise ValueError(f"generator {i} has {len(p)} labels for {n} vertices")
             if sorted(p) != list(range(n)):
                 raise ValueError(f"generator {i} is not a permutation of 0..{n - 1}")
-            for u, around in enumerate(neighbours):
-                if sorted(map(p.__getitem__, around)) != neighbours[p[u]]:
+            for u, (row, image) in enumerate(zip(rows, _relabel(rows, list(p)))):
+                if row != image:
                     raise ValueError(
                         f"generator {i} does not map row {u} onto the row of its image {p[u]}"
                     )
@@ -547,7 +547,10 @@ class AlphaResult:
     lower: int
     upper: int
     witness: tuple[int, ...]
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
 
     @property
     def value(self) -> int:
@@ -562,8 +565,8 @@ def independence_number(
     G: Graph, budget: int | None = None, symmetry: Automorphisms | None = None
 ) -> AlphaResult:
     """Exact independence number with witness (the maximum clique of the
-    complement); on budget exhaustion returns a certified interval flagged
-    inexact.  Always >= the greedy Turan floor.
+    complement); on budget exhaustion returns a certified interval, which
+    is exact when its ends meet.  Always >= the greedy Turan floor.
 
     Given automorphisms of G, alpha and its witness come from orbital
     branching, whose leaf searches share the budget; the interval's upper
@@ -580,7 +583,7 @@ def independence_number(
     floor = -(-G.n // ((max(G.degrees) if G.n else 0) + 1))
     if upper < floor:  # pragma: no cover - would be a solver bug
         raise AssertionError("independence bound fell below the Turan floor")
-    return AlphaResult(best, upper, witness, status == "complete")
+    return AlphaResult(best, upper, witness)
 
 
 def _find_clique(
@@ -657,72 +660,70 @@ def _find_c4(G: Graph) -> list[int] | None:
     return None
 
 
+def _bfs_levels(rows: Sequence[int], root: int, within: int) -> Iterator[tuple[list[int], int]]:
+    """The breadth-first levels from root through the vertices of the mask
+    `within`, each as its vertices in reach order (by the vertex above that
+    first reaches them, then ascending) and its bit mask, built when asked."""
+    level, mask = [root], 1 << root
+    unseen = within & ~mask
+    while level:
+        yield level, mask
+        nxt, mask = [], 0
+        for u in level:
+            new = rows[u] & unseen
+            if new:
+                unseen ^= new
+                mask |= new
+                nxt.extend(_iter_bits(new))
+        level = nxt
+
+
 def _odd_girth(G: Graph) -> tuple[int, list[int]] | None:
-    """(odd girth, witness cycle) or None if bipartite."""
-    best = None  # (length, u, v, parent) of the shortest odd closed walk found
+    """(odd girth, witness cycle) or None if bipartite.  The shortest odd
+    walk from a root closes at its first level to hold an edge uv: u first
+    in reach order, v least.  Paths step back to each vertex's first
+    reacher, the first adjacent vertex of the level above in reach order."""
+    rows, full = G.rows, (1 << G.n) - 1
+    girth, best = G.n + 1, None  # the shortest odd closed walk found: (levels, u, v)
     for r in range(G.n):
-        level = {r: 0}
-        parent = {r: -1}
-        frontier = [r]
-        depth = 0
-        while frontier:
-            if best is not None and 2 * depth + 1 >= best[0]:
-                break
-            nxt = []
-            for u in frontier:
-                for v in _iter_bits(G.rows[u]):
-                    if v not in level:
-                        level[v] = depth + 1
-                        parent[v] = u
-                        nxt.append(v)
-                    elif level[v] == level[u] and (best is None or 2 * depth + 1 < best[0]):
-                        # not copied: BFS only adds keys, and each root gets a new dict
-                        best = (2 * depth + 1, u, v, parent)
-            frontier = nxt
-            depth += 1
+        if girth == 3:
+            break
+        levels = []
+        for level, mask in _bfs_levels(rows, r, full):
+            levels.append(level)
+            u = next((u for u in level if rows[u] & mask), None)
+            if u is not None:
+                girth, best = 2 * len(levels) - 1, (levels, u, next(_iter_bits(rows[u] & mask)))
+            if 2 * len(levels) + 1 >= girth:
+                break  # no deeper level closes a shorter odd walk
     if best is None:
         return None
-    _, u, v, parent = best
+    levels, u, v = best
     path_u, path_v = [u], [v]
-    while parent[path_u[-1]] != -1:
-        path_u.append(parent[path_u[-1]])
-    while parent[path_v[-1]] != -1:
-        path_v.append(parent[path_v[-1]])
+    for level in levels[-2::-1]:
+        for path in (path_u, path_v):
+            path.append(next(w for w in level if rows[w] >> path[-1] & 1))
     # the record is an odd closed walk of the least length found, the odd
     # girth g, so the paths meet only at r: else a shorter odd walk closes
     cycle = path_u + path_v[-2::-1]
     return len(cycle), cycle
 
 
-def _bfs_dist(adj: Sequence[int], n: int, src: int, allowed: int) -> list[int]:
-    INF = n + 1
-    dist = [INF] * n
-    dist[src] = 0
-    frontier = [src]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in _iter_bits(adj[u] & allowed):
-                if dist[v] > d:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
-
-
 def _iter_cycles_exact(G: Graph, k: int, budget: int | None) -> Iterator[list[int]]:
     """All simple cycles of length exactly k (k >= 3), canonically: smallest
     vertex first, second vertex smaller than the last (one orientation per
-    cycle).  The walk keeps its own stack; each vertex it enters is a node."""
+    cycle).  The walk keeps its own stack; each vertex it enters is a node.
+    Path vertex i lies within k - i of s, so vertex k - 1 closes the cycle."""
     if k > G.n:  # a simple k-cycle needs k distinct vertices
         return
     nodes = 0
     full = (1 << G.n) - 1
     for s in range(G.n):
         allowed = full >> (s + 1) << (s + 1)
-        dist = _bfs_dist(G.rows, G.n, s, allowed)
+        dist = [k] * G.n  # from s over the later vertices, k where k or more
+        for d, (level, _) in zip(range(k), _bfs_levels(G.rows, s, allowed)):
+            for v in level:
+                dist[v] = d
         path, used, stack = [], 0, [iter([s])]  # stack[i] yields the choices for path[i]
         while stack:
             v = next(stack[-1], None)
@@ -734,13 +735,12 @@ def _iter_cycles_exact(G: Graph, k: int, budget: int | None) -> Iterator[list[in
                 nodes += 1
                 if budget is not None and nodes > budget:
                     raise UndecidedError(f"cycle({k}) enumeration exhausted budget {budget}")
-                if len(path) == k - 1:
-                    if G.rows[v] >> s & 1 and path[1] < v:
-                        yield path + [v]
-                else:
+                if len(path) < k - 1:
                     path.append(v)
                     used |= 1 << v
                     stack.append(_iter_bits(G.rows[v] & allowed & ~used))
+                elif path[1] < v:
+                    yield path + [v]
 
 
 def _common_counts(rows: Sequence[int]) -> Iterator[int]:
@@ -778,9 +778,8 @@ def is_pattern_free(
             return True, None
         if og[0] == F.size:
             return False, og[1]
-        for cycle in _iter_cycles_exact(G, F.size, budget):
-            return False, cycle
-        return True, None
+        w = next(_iter_cycles_exact(G, F.size, budget), None)
+        return (True, None) if w is None else (False, w)
     raise ValueError(f"unknown pattern kind {F.kind}")
 
 

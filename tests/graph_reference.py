@@ -5,10 +5,11 @@ simple graph, a witness checker that re-reads a returned clique or cycle
 edge by edge, a shadow graph built pair by pair, a strong-freeness
 test that lists every copy of a pattern in the shadow graph and 2-colours
 each hyperedge's part of it, a reader of write_hypergraph's text, the
-recursive cycle walk that graphcore's explicit-stack walk must match, the
-per-slot coloring that transfer's array pass must match, and the m-subset
-search without the counting cut that containers' search must match.  Only
-the tests import this module.
+recursive cycle walk, on breadth-first distances of its own, that
+graphcore's explicit-stack walk must match, the per-slot coloring that
+transfer's array pass must match, and the m-subset search without the
+counting cut that containers' search must match.  Only the tests import
+this module.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from ramseyforge.graphcore import (
     Graph,
     LinearHypergraph,
     UndecidedError,
-    _bfs_dist,
     _iter_bits,
     _read_header,
 )
@@ -77,6 +77,22 @@ def read_hypergraph(fh) -> tuple[LinearHypergraph, dict]:
     return LinearHypergraph(header["n"], [tuple(map(int, words)) for words in lines]), header
 
 
+def later_distances(G: Graph, s: int) -> list[int]:
+    """The distance from s of each vertex over paths whose other vertices
+    all exceed s, n + 1 where there is none: a breadth-first search with a
+    queue of vertices and a neighbour list per vertex, read with has_edge."""
+    neighbours = [[v for v in range(G.n) if G.has_edge(u, v)] for u in range(G.n)]
+    dist = [G.n + 1] * G.n
+    dist[s] = 0
+    queue = [s]
+    for u in queue:
+        for v in neighbours[u]:
+            if v > s and dist[v] > G.n:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
 def iter_cycles_exact(G: Graph, k: int, budget: int | None) -> Iterator[list[int]]:
     """graphcore._iter_cycles_exact as a recursive walk, one call per path
     vertex: the same cycles in the same order, and the same node count."""
@@ -86,7 +102,7 @@ def iter_cycles_exact(G: Graph, k: int, budget: int | None) -> Iterator[list[int
     full = (1 << G.n) - 1
     for s in range(G.n):
         allowed = full >> (s + 1) << (s + 1)
-        dist = _bfs_dist(G.rows, G.n, s, allowed)
+        dist = later_distances(G, s)
         path = [s]
 
         def walk(u: int, remaining: int, used: int) -> Iterator[list[int]]:

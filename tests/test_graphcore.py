@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc as collector
+import hashlib
 import io
 import itertools
 import json
@@ -373,6 +374,18 @@ def test_budget_gives_certified_interval():
         res.value
 
 
+def test_closed_budget_interval_is_decided():
+    # the budget runs out after the search has found a 3-set and the
+    # colouring bound is 3 too, so alpha is decided though the search is not
+    G = Graph.from_edges(9, [
+        (0, 5), (1, 2), (1, 6), (1, 7), (1, 8), (2, 4), (2, 5), (2, 7), (2, 8), (3, 4),
+        (3, 6), (3, 7), (3, 8), (4, 5), (4, 6), (4, 8), (5, 6), (5, 7), (7, 8),
+    ])
+    res = gc.independence_number(G, budget=3)
+    assert (res.lower, res.upper, res.witness) == (3, 3, (0, 4, 7))
+    assert res.exact and res.value == 3 == brute_alpha(G)
+
+
 def complete_tripartite(k: int) -> Graph:
     return Graph.from_edges(
         3 * k, [(u, v) for u in range(3 * k) for v in range(u + 1, 3 * k) if u // k != v // k]
@@ -514,11 +527,11 @@ def reference_clique_search(G: Graph, budget, target, complement=False):
 def reference_interval(G: Graph, budget, complement: bool) -> gc.AlphaResult:
     best, witness, status, _ = reference_clique_search(G, budget, None, complement)
     if status == "complete":
-        return gc.AlphaResult(best, best, witness, True)
+        return gc.AlphaResult(best, best, witness)
     # the colours of the searched graph, in its own labels, bound its clique number
     H = G.complement() if complement else G
     colors = reference_color_order((1 << H.n) - 1, H.rows)[1]
-    return gc.AlphaResult(best, colors[-1], witness, False)
+    return gc.AlphaResult(best, colors[-1], witness)
 
 
 def test_clique_search_matches_reference():
@@ -607,6 +620,9 @@ def test_automorphisms_reject_non_automorphisms():
     swapped[0], swapped[1] = swapped[1], swapped[0]
     repeated = reflection[:]
     repeated[1] = repeated[0]
+    with pytest.raises(ValueError) as rejected:
+        gc.Automorphisms(G, [reflection, swapped])
+    assert str(rejected.value) == "generator 1 does not map row 0 onto the row of its image 1"
     for bad, reason in (
         (swapped, "does not map row"),
         (repeated, "not a permutation"),
@@ -618,6 +634,20 @@ def test_automorphisms_reject_non_automorphisms():
     symmetry = gc.Automorphisms(G, [reflection])
     with pytest.raises(ValueError, match="another graph"):
         gc.independence_number(G.drop_vertex(0), symmetry=symmetry)
+
+
+def test_automorphisms_past_the_dense_relabel():
+    # ER_37 has 1407 vertices, and 1407^2 bits pass _DENSE_BITS, so the
+    # generators are checked on _relabel's edge-array path
+    G = geo.polarity_graph(37)
+    assert G.n**2 > gc._DENSE_BITS
+    reflections = geo.polarity_reflections(37)
+    assert len(gc.Automorphisms(G, reflections).perms) == len(reflections) == 11
+    swapped = list(reflections[0])
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    with pytest.raises(ValueError) as rejected:
+        gc.Automorphisms(G, [reflections[0], swapped])
+    assert str(rejected.value) == "generator 1 does not map row 0 onto the row of its image 1"
 
 
 def is_sorted_independent_set(G, vs, size):
@@ -941,6 +971,21 @@ def test_odd_cycle_matches_brute_force():
             girth, cycle = gc._odd_girth(G)
             assert girth == shortest
             assert ref.validate_witness(G, ForbiddenPattern.odd_cycle(girth), cycle)
+
+
+def test_odd_girth_pinned():
+    # the odd girth and witness cycle of 300 random graphs, 184 of them not
+    # bipartite, hashed as the breadth-first search from each root in turn
+    # first found them
+    rng = random.Random(2029)
+    results = []
+    for _ in range(300):
+        n, p = rng.randint(1, 20), rng.uniform(0.05, 0.5)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        results.append(gc._odd_girth(Graph.from_edges(n, edges)))
+    assert sum(r is not None for r in results) == 184
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == "f1211c91a0ddf1bd4add1989c42a8cb3e29f4f561e4145d5f335fbab0a0f2502"
 
 
 def test_odd_cycle_longer_than_graph_is_not_searched():
