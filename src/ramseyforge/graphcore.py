@@ -335,14 +335,15 @@ def _color_classes(P: int, others: Sequence[int]) -> list[int]:
     """Greedy colouring of the vertices in P as class bit masks, in colour
     order.  Each class takes the lowest uncoloured vertex, then the lowest
     one adjacent to none it holds; others[v] masks the vertices that v is
-    not adjacent to in the searched graph (v's own bit is ignored)."""
+    not adjacent to in the searched graph, without v itself, so one AND
+    both drops v and keeps the vertices v may share a class with."""
     classes = []
     while P:
         avail, cls = P, 0
         while avail:
             low = avail & -avail
             cls |= low
-            avail = (avail ^ low) & others[low.bit_length() - 1]
+            avail &= others[low.bit_length() - 1]
         classes.append(cls)
         P ^= cls
     return classes
@@ -360,19 +361,30 @@ def _max_clique_search(
     Vertices are relabeled by descending degree in the searched graph (ties
     by index), which fixes the search tree and therefore the witness
     deterministically.  The search keeps, per vertex, the mask of the
-    vertices it is not adjacent to: G's own relabeled rows when the
-    complement is searched, and each row's ~row otherwise.  Only cliques
-    larger than `floor` are sought: with nothing larger, best is 0 and the
-    set empty; floor=0 is the plain search.
-    """
+    vertices it is not adjacent to, without the vertex itself: G's own
+    relabeled rows when the complement is searched, and each row's
+    ~row ^ (1 << v) otherwise; and, to branch on, the mask of its
+    neighbours in the searched graph (its own bit is ignored).  Only
+    cliques larger than `floor` are sought: with nothing larger, best is 0
+    and the set empty; floor=0 is the plain search.
+
+    Every node is coloured: a cut on its candidate count alone would never
+    fire below the root.  A vertex of colour c met a member of each lower
+    class, all still candidates when it is branched on, so its child has at
+    least c - 1 candidates and passes any cut that the vertex passed."""
     n = G.n
     if n == 0:
         return 0, (), "complete", 0
-    sign = 1 if complement else -1
-    order = sorted(range(n), key=lambda v: (sign * G.degrees[v], v))
-    others = _relabel(G.rows, order)
-    if not complement:
-        others = [~row for row in others]
+    # stable sorts, so ties stay in index order
+    if complement:
+        order = sorted(range(n), key=G.degrees.__getitem__)
+        others = _relabel(G.rows, order)
+        full = (1 << n) - 1
+        adj = [full ^ row for row in others]
+    else:
+        order = sorted(range(n), key=[-d for d in G.degrees].__getitem__)
+        adj = _relabel(G.rows, order)
+        others = [~row ^ (1 << v) for v, row in enumerate(adj)]
     best: tuple[int, ...] = ()
     cut = floor  # the size a clique must exceed to be kept
     nodes = 0
@@ -385,20 +397,22 @@ def _max_clique_search(
         nodes += 1
         if budget is not None and nodes > budget:
             raise _Stop("budget")
+        size = len(R)
         classes = _color_classes(P, others)
         for c in range(len(classes), 0, -1):
             cls = classes[c - 1]
             while cls:
-                if len(R) + c <= cut:
+                if size + c <= cut:
                     return
                 v = cls.bit_length() - 1
-                cls ^= 1 << v
-                P ^= 1 << v
+                bit = 1 << v
+                cls ^= bit
+                P ^= bit
                 R.append(v)
-                sub = P & ~others[v]
+                sub = P & adj[v]
                 if sub:
                     expand(sub)
-                elif len(R) > cut:
+                elif size >= cut:  # R, of size + 1, exceeds the cut
                     best = tuple(R)
                     cut = len(best)
                     if target is not None and cut >= target:

@@ -24,6 +24,7 @@ import graph_reference as ref
 from ramseyforge import certify as ce
 from ramseyforge import geometry as geo
 from ramseyforge import graphcore as gc
+from ramseyforge import transfer as tr
 from ramseyforge.graphcore import ForbiddenPattern, Graph, LinearHypergraph
 
 
@@ -467,10 +468,11 @@ def reference_color_order(P: int, adj) -> tuple[list[int], list[int]]:
     return order, colors
 
 
-def reference_clique_search(G: Graph, budget, target, complement=False):
+def reference_clique_search(G: Graph, budget, target, complement=False, floor=0):
     """Reference branch and bound with greedy-colouring bounds: a state
     object and one exception per way of stopping.  It relabels by descending
-    degree in the searched graph and builds the searched rows in full."""
+    degree in the searched graph and builds the searched rows in full.  Only
+    cliques larger than `floor` are sought: the cut is max(best, floor)."""
 
     class Exhausted(Exception):
         pass
@@ -489,14 +491,14 @@ def reference_clique_search(G: Graph, budget, target, complement=False):
             raise Exhausted
         order, colors = reference_color_order(P, adj)
         for i in range(len(order) - 1, -1, -1):
-            if len(R) + colors[i] <= st.best:
+            if len(R) + colors[i] <= max(st.best, floor):
                 return
             v = order[i]
             R.append(v)
             new_p = P & adj[v]
             if new_p:
                 expand(R, new_p, adj)
-            elif len(R) > st.best:
+            elif len(R) > max(st.best, floor):
                 st.best, st.best_set = len(R), tuple(R)
                 if target is not None and st.best >= target:
                     raise TargetReached
@@ -550,6 +552,36 @@ def test_clique_search_matches_reference():
                     statuses[got[2]] += 1
             assert gc.independence_number(G, budget) == reference_interval(G, budget, True)
     assert min(statuses[s] for s in ("complete", "target", "budget")) > 100
+
+
+def test_clique_search_matches_reference_at_floors_and_benchmark_sizes():
+    # the same tree as the reference on the searches the benchmark and CI
+    # run: every deletion round of two sampled ER_13 certificates (floor 25,
+    # target 26, n from 49 to 90) and the k4 searches of q = 3
+    # transfer trials (clique mode, floor 3, target 4)
+    G = geo.polarity_graph(13)
+    sizes, statuses = [], Counter()
+    for seed in (3, 4):
+        sampled = ce.sampled_vertices(G.n, 0.5, seed)
+        cert = ce.sample_and_delete(G, ForbiddenPattern.c4(), 26, 0.5, seed, "er", {"q": 13})
+        deleted = set()
+        for v in (*cert.deletion_trace, None):
+            sub = G.induced([u for u in sampled if u not in deleted])
+            sizes.append(sub.n)
+            for budget in (None, 5, 40):
+                got = gc._max_clique_search(sub, budget, 26, True, 25)
+                assert got == reference_clique_search(sub, budget, 26, True, 25)
+                statuses[got[2]] += 1
+            deleted.add(v)
+    assert min(sizes) < 50 and max(sizes) > 85
+    H = geo.unital_line_hypergraph(3)
+    for trial in range(20):
+        T = tr.bichromatic_subgraph(H, tr.random_coloring(H, tr.derive_seed(1, trial)))
+        for budget in (None, 5, 40):
+            got = gc._max_clique_search(T, budget, 4, False, 3)
+            assert got == reference_clique_search(T, budget, 4, False, 3)
+            statuses[got[2]] += 1
+    assert min(statuses[s] for s in ("complete", "target", "budget")) > 0
 
 
 def test_find_clique_seeks_only_s_sets_with_the_same_witness():
