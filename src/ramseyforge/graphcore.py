@@ -83,9 +83,9 @@ _ROW_BYTES = 2**16
 
 
 def _byte_blocks(ends: np.ndarray, size: int) -> Iterator[tuple[int, int]]:
-    """Row ranges [lo, hi) of about `size` bytes each, for rows whose byte
-    lengths have the running sums `ends`.  Rows of no bytes ride in their
-    neighbours' blocks, so rows that hold no bytes at all give no block."""
+    """Row ranges [lo, hi) of about `size` units (bytes, or arcs) each, for
+    rows whose lengths in those units have the running sums `ends`.  Empty
+    rows ride in their neighbours' blocks, so all-empty rows give no block."""
     total = int(ends[-1]) if len(ends) else 0
     lo = 0
     for hi in np.searchsorted(ends, np.arange(size, total + size, size), side="right").tolist():
@@ -108,7 +108,8 @@ def _edge_arrays(rows: Sequence[int], skip: np.ndarray) -> Iterator[tuple[np.nda
         data = b"".join(map(int.to_bytes, shifted, size[lo:hi].tolist(), repeat("little")))
         buf = np.frombuffer(data, np.uint8)
         at = np.flatnonzero(buf)
-        hit = np.flatnonzero(np.unpackbits(buf[at], bitorder="little"))
+        # a bool view: np.flatnonzero takes a faster path on bools than on bytes
+        hit = np.flatnonzero(np.unpackbits(buf[at], bitorder="little").view(bool))
         at += starts[lo]
         r = np.searchsorted(ends, at, side="right")  # the row of each nonzero byte
         at = (at - starts[r]) * 8 + skip[r]
@@ -200,21 +201,6 @@ class Graph:
             raise TypeError(f"edges must be pairs of ints, not {pairs.dtype}")
         pairs = _vertex_pairs(n, pairs).astype(np.int64, copy=False)
         return cls(n, _pair_rows(n, [pairs]))
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_iter_bits(self.rows[v]))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """The pairs (u, v), u < v, in sorted order.  They hold the same n
-        int objects, rather than two new ints per edge."""
-        ints = np.arange(self.n).astype(object)
-        return chain.from_iterable(
-            zip(ints[r].tolist(), ints[c].tolist())
-            for r, c in _edge_arrays(self.rows, np.arange(1, self.n + 1))
-        )
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph; vertices must be strictly increasing (vertex i of
@@ -757,16 +743,91 @@ def _iter_cycles_exact(G: Graph, k: int, budget: int | None) -> Iterator[list[in
                     yield path + [v]
 
 
-def _common_counts(rows: Sequence[int]) -> Iterator[int]:
-    """The number of common neighbours of u and v for each edge uv, u < v."""
-    for r, c in _edge_arrays(rows, np.arange(1, len(rows) + 1)):
-        for u, v in zip(r.tolist(), c.tolist()):
-            yield (rows[u] & rows[v]).bit_count()
+# While n * n is at most _MATRIX_BITS, the C4 and K_s screens and
+# triangle_count read the rows as a packed matrix: n rows of ceil(n / 64)
+# uint64 words, about n^2/8 bytes, 1 MiB at the cap (n <= 2896; the
+# relabelled ER_49 of the build-check benchmark, n = 2451, takes 0.75 MiB).
+# Each gather of matrix rows holds about _GATHER_WORDS words (256 KiB), or
+# one vertex's neighbour rows where those are more.  Past the cap the matrix
+# would outgrow the memory the rows' walks need (the C4 check of a star with
+# 4095 leaves peaks at 1.2 MiB), so _find_c4 walks the rows and common
+# neighbours are counted one edge at a time: ER_81 (n = 6643) takes that path.
+_MATRIX_BITS = 2**23
+_GATHER_WORDS = 2**15
+# _ABOVE[u, v] is v > u: the bits of a one-word row u above the diagonal.
+_ABOVE = np.arange(64) > np.arange(64)[:, None]
+
+
+def _row_matrix(rows: Sequence[int]) -> np.ndarray:
+    """The rows as an (n, ceil(n / 64)) uint64 matrix: bit v of row u is bit
+    v & 63 of word v >> 6."""
+    width = (len(rows) + 63) >> 6 << 3
+    data = b"".join(map(int.to_bytes, rows, repeat(width), repeat("little")))
+    return np.frombuffer(data, "<u8").reshape(len(rows), width >> 3)
+
+
+def _c4_screen(G: Graph) -> bool:
+    """True when no two vertices share two neighbours, so G has no 4-cycle.
+    The rows of a's neighbours w all hold a, so their union has at most
+    sum(deg w) - deg a + 1 vertices, with equality exactly when they meet only
+    in a.  Each vertex's neighbour rows are gathered from the packed matrix,
+    OR-reduced with np.bitwise_or.reduceat and counted; a gather takes whole
+    vertices, about _GATHER_WORDS words of them.  The caller keeps n * n
+    within _MATRIX_BITS."""
+    rows = G.rows
+    M = _row_matrix(rows)
+    deg = np.array(G.degrees, np.int64)
+    step = max(1, _GATHER_WORDS // max(M.shape[1], 1))
+    for r, c in _edge_arrays(rows, np.zeros(G.n, np.int64)):
+        # _edge_arrays' blocks hold whole rows, and each row's arcs in a run
+        first = np.flatnonzero(np.diff(r, prepend=-1))
+        ends = np.append(first[1:], len(r))
+        for lo, hi in _byte_blocks(ends, step):
+            a, b = first[lo], ends[hi - 1]
+            at = first[lo:hi] - a
+            union = np.bitwise_or.reduceat(M[c[a:b]], at)
+            bound = np.add.reduceat(deg[c[a:b]], at) - (ends[lo:hi] - first[lo:hi]) + 1
+            if (np.bitwise_count(union).sum(axis=1) < bound).any():
+                return False
+    return True
+
+
+def _common_counts(rows: Sequence[int]) -> Iterator[np.ndarray]:
+    """The number of common neighbours of u and v for each edge uv, u < v,
+    in edge order, as one int64 array per block of edges.  While n * n is at
+    most _MATRIX_BITS a block is one kernel over the packed rows: the rows
+    of u and v are gathered about _GATHER_WORDS words at a time, ANDed, and
+    their popcounts summed.  Rows of one word (n <= 64) are unpacked all at
+    once to list the edges, quicker than _edge_arrays' set-up: on a 2-core
+    x86-64 host the K4 screen of a q = 3 transfer graph (n = 63) takes 27 us
+    so, and 55 us through _edge_arrays.  Past the cap each edge's two int
+    rows are ANDed and counted, one block of _edge_arrays at a time."""
+    n = len(rows)
+    if n * n > _MATRIX_BITS:
+        for r, c in _edge_arrays(rows, np.arange(1, n + 1)):
+            counts = ((rows[u] & rows[v]).bit_count() for u, v in zip(r.tolist(), c.tolist()))
+            yield np.fromiter(counts, np.int64, len(r))
+        return
+    M = _row_matrix(rows)
+    if 0 < n <= 64:
+        bits = np.unpackbits(M.view(np.uint8), axis=1, bitorder="little").view(bool)
+        at = np.flatnonzero(bits & _ABOVE[:n])
+        edges = [(at >> 6, at & 63)]
+    else:
+        edges = _edge_arrays(rows, np.arange(1, n + 1))
+    step = max(1, _GATHER_WORDS // max(M.shape[1], 1))
+    for r, c in edges:
+        for i in range(0, len(r), step):
+            both = M[r[i : i + step]]
+            both &= M[c[i : i + step]]
+            yield np.bitwise_count(both).sum(axis=1, dtype=np.int64)
 
 
 def _edge_with_common(rows: Sequence[int], k: int) -> bool:
-    """True when some edge uv has k common neighbours of u and v."""
-    return any(common >= k for common in _common_counts(rows))
+    """True when some edge uv has k common neighbours of u and v, compared
+    one block of _common_counts at a time: the packed kernel within
+    _MATRIX_BITS, the per-edge count past it."""
+    return any((counts >= k).any() for counts in _common_counts(rows))
 
 
 def is_pattern_free(
@@ -774,7 +835,12 @@ def is_pattern_free(
 ) -> tuple[bool, list[int] | None]:
     """True iff no copy of F occurs in G; on False the witness is a concrete
     vertex list (clique members, or cycle in traversal order) that
-    re-validates against the adjacency."""
+    re-validates against the adjacency.  Two screens decide the free case
+    without a search: an unbudgeted K_s check passes when no edge has s - 2
+    common neighbours (_edge_with_common), and a C4 check with n * n within
+    _MATRIX_BITS when _c4_screen finds no two vertices sharing two
+    neighbours.  Otherwise the search runs and finds the witness: the same
+    one, screened or not."""
     if F.kind == "clique":
         # the endpoints of an edge of a K_s share s - 2 neighbours; under a
         # budget the search itself must run, so that exhausting it still
@@ -784,6 +850,8 @@ def is_pattern_free(
         w = find_clique(G, F.size, budget)
         return (True, None) if w is None else (False, list(w))
     if F.kind == "c4":
+        if G.n * G.n <= _MATRIX_BITS and _c4_screen(G):
+            return True, None
         w = _find_c4(G)
         return (True, None) if w is None else (False, w)
     if F.kind == "odd_cycle":
@@ -800,7 +868,7 @@ def is_pattern_free(
 def triangle_count(G: Graph) -> int:
     """Exact number of triangles: each of its three edges uv counts it once
     among the common neighbours of u and v."""
-    return sum(_common_counts(G.rows)) // 3
+    return sum(int(counts.sum()) for counts in _common_counts(G.rows)) // 3
 
 
 # --- text interchange ---------------------------------------------------------
@@ -820,11 +888,13 @@ def write_graph(G: Graph, fh, header: dict | None = None) -> None:
 # n-bit int, so n edge lines that all touch vertex n - 1 cost about n^2/8
 # bytes; at 2^15 that worst case is 128 MiB for the rows.  _find_c4's masks
 # keep only the bits above each vertex, about n^2/16 bytes: 64 MiB at the
-# cap.  read_graph adds 16 bytes per edge line (its int32 pair, and an int32
-# key per endpoint: at the cap int32 holds every key r*n + c), a block of
-# text held as 4 * _READ_CHARS bytes, and a row buffer of _ROW_BYTES plus at
-# most one row of n/8 bytes.  The largest graph the tool builds, ER_81, has
-# 6643 vertices.
+# cap.  The pattern screens' packed matrix, also n^2/8 bytes, is built only
+# while n^2 is within _MATRIX_BITS, so it never passes 1 MiB.  read_graph
+# adds 16 bytes per edge line (its int32 pair, and an int32 key per
+# endpoint: at the cap int32 holds every key r*n + c), a block of text held
+# as 4 * _READ_CHARS bytes, and a row buffer of _ROW_BYTES plus at most one
+# row of n/8 bytes.  The largest graph the tool builds, ER_81, has 6643
+# vertices.
 MAX_READ_VERTICES = 2**15
 
 # A line whose first word starts with '#'; the reader skips it.

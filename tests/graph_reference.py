@@ -1,8 +1,10 @@
 """Reference checks on graphs and linear hypergraphs, written for clarity.
 
-An oracle for the tests: a bit-by-bit check that a Graph's rows make a
-simple graph, a witness checker that re-reads a returned clique or cycle
-edge by edge, a shadow graph built pair by pair, a strong-freeness
+An oracle for the tests: the readers of a Graph's rows that no command
+needs (a vertex's neighbours, one adjacency bit, the sorted edge list),
+a bit-by-bit check that a Graph's rows make a simple graph, a witness
+checker that re-reads a returned clique or cycle edge by edge, a shadow
+graph built pair by pair, a strong-freeness
 test that lists every copy of a pattern in the shadow graph and 2-colours
 each hyperedge's part of it, a reader of write_hypergraph's text, the
 recursive cycle walk, on breadth-first distances of its own, that
@@ -17,15 +19,35 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from ramseyforge.graphcore import (
     ForbiddenPattern,
     Graph,
     LinearHypergraph,
     UndecidedError,
+    _edge_arrays,
     _iter_bits,
     _read_header,
 )
 from ramseyforge.transfer import _MASK64, _splitmix64
+
+
+def neighbors(G: Graph, v: int) -> tuple[int, ...]:
+    return tuple(_iter_bits(G.rows[v]))
+
+
+def has_edge(G: Graph, u: int, v: int) -> bool:
+    return bool(G.rows[u] >> v & 1)
+
+
+def edges(G: Graph) -> Iterator[tuple[int, int]]:
+    """The pairs (u, v), u < v, in sorted order.  They hold the same n int
+    objects, rather than two new ints per edge."""
+    ints = np.arange(G.n).astype(object)
+    return itertools.chain.from_iterable(
+        zip(ints[r].tolist(), ints[c].tolist()) for r, c in _edge_arrays(G.rows, np.arange(1, G.n + 1))
+    )
 
 
 def assert_simple(G: Graph) -> None:
@@ -56,12 +78,12 @@ def validate_witness(G: Graph, F: ForbiddenPattern, witness: Sequence[int]) -> b
         return False
     if F.kind == "clique":
         return len(w) == F.size and all(
-            G.has_edge(a, b) for i, a in enumerate(w) for b in w[i + 1 :]
+            has_edge(G, a, b) for i, a in enumerate(w) for b in w[i + 1 :]
         )
     k = F.size
     if len(w) != k:
         return False
-    return all(G.has_edge(w[i], w[(i + 1) % k]) for i in range(k))
+    return all(has_edge(G, w[i], w[(i + 1) % k]) for i in range(k))
 
 
 def shadow(H: LinearHypergraph) -> Graph:
@@ -81,7 +103,7 @@ def later_distances(G: Graph, s: int) -> list[int]:
     """The distance from s of each vertex over paths whose other vertices
     all exceed s, n + 1 where there is none: a breadth-first search with a
     queue of vertices and a neighbour list per vertex, read with has_edge."""
-    neighbours = [[v for v in range(G.n) if G.has_edge(u, v)] for u in range(G.n)]
+    neighbours = [[v for v in range(G.n) if has_edge(G, u, v)] for u in range(G.n)]
     dist = [G.n + 1] * G.n
     dist[s] = 0
     queue = [s]
@@ -158,14 +180,14 @@ def two_coloring_strong_freeness(H: LinearHypergraph, F: ForbiddenPattern):
     if F.kind == "clique":
         copies = [
             c for c in itertools.combinations(range(H.n), k)
-            if all(S.has_edge(a, b) for a, b in itertools.combinations(c, 2))
+            if all(has_edge(S, a, b) for a, b in itertools.combinations(c, 2))
         ]
         edge_sets = [set(itertools.combinations(c, 2)) for c in copies]
     else:
         copies = [
             p for p in itertools.permutations(range(H.n), k)
             if p[0] == min(p) and p[1] < p[-1]
-            and all(S.has_edge(p[i], p[(i + 1) % k]) for i in range(k))
+            and all(has_edge(S, p[i], p[(i + 1) % k]) for i in range(k))
         ]
         edge_sets = [{tuple(sorted((c[i], c[(i + 1) % k]))) for i in range(k)} for c in copies]
     for copy, copy_edges in zip(copies, edge_sets):

@@ -370,10 +370,10 @@ def test_bip_neighborhoods():
     # for s=2 an edgeless graph, for s=3 a triangle-free graph
     G = geo.bip_graph(7, 2, "symmetrized")
     for v in range(G.n):
-        assert G.induced(list(G.neighbors(v))).edge_count == 0
+        assert G.induced(list(graph_reference.neighbors(G, v))).edge_count == 0
     G = geo.bip_graph(5, 3, "symmetrized")
     for v in range(G.n):
-        N = G.induced(list(G.neighbors(v)))
+        N = G.induced(list(graph_reference.neighbors(G, v)))
         assert gc.is_pattern_free(N, gc.ForbiddenPattern.clique(3)) == (True, None)
 
 

@@ -140,7 +140,7 @@ def test_keys_past_int32():
     # n * n passes 2^31 from n = 46341, so the keys r*n + c are int64 there
     n = 50_000
     G = Graph.from_edges(n, [(n - 1, n - 2), (0, n - 1)])
-    assert list(G.edges()) == [(0, n - 1), (n - 2, n - 1)]
+    assert list(ref.edges(G)) == [(0, n - 1), (n - 2, n - 1)]
 
 
 def complete_rows(n: int) -> list[int]:
@@ -167,7 +167,7 @@ def test_edges_of_complete_graph():
     collector.disable()
     try:
         start = time.perf_counter()
-        edges = list(G.edges())
+        edges = list(ref.edges(G))
         elapsed = time.perf_counter() - start
     finally:
         collector.enable()
@@ -274,8 +274,8 @@ def test_induced_matches_pair_scan():
         n = rng.randint(0, 30)
         G = random_graph(n, rng.random(), rng)
         vs = sorted(rng.sample(range(n), rng.randint(0, n)))
-        want = [(i, j) for i, a in enumerate(vs) for j, b in enumerate(vs) if i < j and G.has_edge(a, b)]
-        assert list(G.induced(vs).edges()) == want
+        want = [(i, j) for i, a in enumerate(vs) for j, b in enumerate(vs) if i < j and ref.has_edge(G, a, b)]
+        assert list(ref.edges(G.induced(vs))) == want
     with pytest.raises(ValueError):
         petersen().induced([2, 1])
 
@@ -284,9 +284,9 @@ def test_graph_accessors():
     G = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert G.degrees == (1, 2, 2, 1)
     assert G.edge_count == 3
-    assert list(G.edges()) == [(0, 1), (1, 2), (2, 3)]
-    assert G.neighbors(1) == (0, 2)
-    assert G.has_edge(2, 1) and not G.has_edge(0, 3)
+    assert list(ref.edges(G)) == [(0, 1), (1, 2), (2, 3)]
+    assert ref.neighbors(G, 1) == (0, 2)
+    assert ref.has_edge(G, 2, 1) and not ref.has_edge(G, 0, 3)
     assert G.subgraph_edge_count(0b0111) == 2
     H = G.induced([1, 2, 3])
     assert H.edge_count == 2 and H.n == 3
@@ -513,7 +513,7 @@ def reference_clique_search(G: Graph, budget, target, complement=False, floor=0)
     inv = sorted(range(n), key=perm.__getitem__)
     adj = [0] * n
     for old in range(n):
-        adj[inv[old]] = sum(1 << inv[u] for u in G.neighbors(old))
+        adj[inv[old]] = sum(1 << inv[u] for u in ref.neighbors(G, old))
     if complement:
         adj = [((1 << n) - 1) ^ row ^ (1 << i) for i, row in enumerate(adj)]
     status = "complete"
@@ -844,7 +844,7 @@ def test_clique_screen_matches_pair_scan_on_dense_rows():
         common = max(
             (G.rows[u] & G.rows[v]).bit_count()
             for u, v in itertools.combinations(range(n), 2)
-            if G.has_edge(u, v)
+            if ref.has_edge(G, u, v)
         )
         for k in (common, common + 1):
             assert gc._edge_with_common(G.rows, k) == (k <= common)
@@ -889,7 +889,7 @@ def pair_dict_c4(G: Graph):
     centre w in a dict; the first pair seen twice closes a 4-cycle."""
     seen = {}
     for w in range(G.n):
-        nbrs = G.neighbors(w)
+        nbrs = ref.neighbors(G, w)
         for i in range(len(nbrs)):
             for j in range(i + 1, len(nbrs)):
                 pair = (nbrs[i], nbrs[j])
@@ -947,6 +947,93 @@ def test_c4_check_memory_on_star():
     assert peak < 1.7 * 2**20
 
 
+def relabelled_er49() -> Graph:
+    # the build-check benchmark's input: ER_49 (n = 2451) under a random labelling
+    G = geo.polarity_graph(49)
+    order = list(range(G.n))
+    random.Random(49).shuffle(order)
+    return Graph(G.n, gc._relabel(G.rows, order))
+
+
+def test_c4_screen_decides_polarity_graphs_without_walk(monkeypatch):
+    # two points of PG(2, q) share one polar line, so ER_q is C4-free, and
+    # within the matrix cap the screen alone decides it: the walk never runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("C4 walk ran")
+
+    graphs = [geo.polarity_graph(q) for q in (3, 5, 7, 9, 11, 13)] + [relabelled_er49()]
+    monkeypatch.setattr(gc, "_find_c4", refuse)
+    for G in graphs:
+        assert G.n * G.n <= gc._MATRIX_BITS
+        assert gc.is_pattern_free(G, ForbiddenPattern.c4()) == (True, None)
+
+
+def polarity_with_chord(q: int, rng: random.Random) -> Graph:
+    G = geo.polarity_graph(q)
+    u, v = rng.sample(range(G.n), 2)
+    while ref.has_edge(G, u, v):
+        u, v = rng.sample(range(G.n), 2)
+    return Graph.from_edges(G.n, list(ref.edges(G)) + [(u, v)])
+
+
+def test_c4_screen_fails_where_a_c4_exists():
+    # ER_q plus one random chord, and both variants of bip(9, 3), n from 73
+    # to 381: the screen says "not free", and the walk that runs then finds
+    # the reference's witness
+    rng = random.Random(31)
+    graphs = [polarity_with_chord(q, rng) for q in (8, 9, 11, 13, 16, 17, 19)]
+    graphs += [geo.bip_graph(9, 3, variant) for variant in ("canonical", "symmetrized")]
+    for G in graphs:
+        assert 60 <= G.n <= 400 and not gc._c4_screen(G)
+        want = pair_dict_c4(G)
+        assert want is not None
+        assert gc.is_pattern_free(G, ForbiddenPattern.c4()) == (False, want)
+
+
+@pytest.mark.parametrize("gather_words, scan_bytes", [(1, 1), (5, 7), (64, 2**16), (2**15, 2**16)])
+def test_pattern_kernels_match_pair_scans(gather_words, scan_bytes, monkeypatch):
+    # gathers of down to one vertex or one edge, edge blocks of down to one
+    # row, and past the cap, the per-edge count: sparse random graphs (with a
+    # C4 or not) and ER_q plus a chord, against scans of every pair
+    monkeypatch.setattr(gc, "_GATHER_WORDS", gather_words)
+    monkeypatch.setattr(gc, "_SCAN_BYTES", scan_bytes)
+    rng = random.Random(gather_words)
+    graphs = [random_graph(rng.randint(0, 120), rng.choice([0.01, 0.02, 0.04, 0.3]), rng) for _ in range(30)]
+    graphs += [polarity_with_chord(q, rng) for q in (5, 7, 8)] + [geo.polarity_graph(9)]
+    seen = Counter()
+    for G in graphs:
+        pairs = list(itertools.combinations(range(G.n), 2))
+        common = [(G.rows[u] & G.rows[v]).bit_count() for u, v in pairs]
+        on_edges = [c for (u, v), c in zip(pairs, common) if ref.has_edge(G, u, v)]
+        free = all(c < 2 for c in common)
+        seen[free] += 1
+        assert gc._c4_screen(G) == free
+        for cap in (gc._MATRIX_BITS, 0):
+            with mock.patch.object(gc, "_MATRIX_BITS", cap):
+                counts = [int(c) for block in gc._common_counts(G.rows) for c in block]
+                assert counts == on_edges
+                assert gc.triangle_count(G) == sum(on_edges) // 3
+                assert gc.is_pattern_free(G, ForbiddenPattern.c4()) == (
+                    (True, None) if free else (False, pair_dict_c4(G))
+                )
+    assert min(seen[True], seen[False]) >= 8
+
+
+def test_pattern_kernel_memory():
+    # the packed rows of the relabelled ER_49 take 0.75 MiB, and each gather
+    # 2^15 words: the C4 and K4 checks peak at 1.74 and 1.96 MiB, while
+    # gathering a whole block of _edge_arrays at once peaked at 4.8 and 8.1 MiB
+    G = relabelled_er49()
+    for pattern in ("c4", "k4"):
+        tracemalloc.start()
+        try:
+            assert gc.is_pattern_free(G, ForbiddenPattern.parse(pattern)) == (True, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20, pattern
+
+
 def test_odd_cycle_pattern():
     for n in (5, 7, 9):
         free, w = gc.is_pattern_free(cycle_graph(n), ForbiddenPattern.odd_cycle(n))
@@ -990,7 +1077,7 @@ def test_odd_cycle_matches_brute_force():
             brute = False
             for perm in itertools.permutations(range(n), k):
                 if perm[0] == min(perm) and all(
-                    G.has_edge(perm[i], perm[(i + 1) % k]) for i in range(k)
+                    ref.has_edge(G, perm[i], perm[(i + 1) % k]) for i in range(k)
                 ):
                     brute = True
                     break
@@ -1062,7 +1149,7 @@ def test_triangle_count_matches_spectra_free_reference():
         brute = sum(
             1
             for a, b, c in itertools.combinations(range(n), 3)
-            if G.has_edge(a, b) and G.has_edge(b, c) and G.has_edge(a, c)
+            if ref.has_edge(G, a, b) and ref.has_edge(G, b, c) and ref.has_edge(G, a, c)
         )
         assert gc.triangle_count(G) == brute
 
@@ -1117,7 +1204,7 @@ def test_graph_io_roundtrip():
 
 def reference_edge_list(G: Graph) -> str:
     """write_graph's body, from a pair scan."""
-    return "".join(f"{u} {v}\n" for u in range(G.n) for v in range(u + 1, G.n) if G.has_edge(u, v))
+    return "".join(f"{u} {v}\n" for u in range(G.n) for v in range(u + 1, G.n) if ref.has_edge(G, u, v))
 
 
 def reference_read(text: str) -> Graph:
@@ -1182,7 +1269,7 @@ def test_reader_semantics(body, want):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an empty body warns nothing
         G, _ = gc.read_graph(io.StringIO(text))
-    assert set(G.edges()) == want and G == reference_read(text)
+    assert set(ref.edges(G)) == want and G == reference_read(text)
 
 
 @pytest.mark.parametrize("read_chars", [5, 40, 2**16])
@@ -1230,7 +1317,7 @@ def noisy_edge_lists(draw):
     pairs = list(itertools.combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     G = Graph.from_edges(n, [p for p, k in zip(pairs, keep) if k])
-    edges = list(G.edges())
+    edges = list(ref.edges(G))
     styles = draw(st.lists(st.integers(0, 9), min_size=len(edges), max_size=len(edges)))
     lines = []
     for (u, v), style in zip(edges, styles):
@@ -1249,11 +1336,11 @@ def test_graph_io_roundtrip_with_noise(case, perm):
     G, body, (scan_bytes, row_bytes, read_chars) = case
     common = [
         (G.rows[u] & G.rows[v]).bit_count()
-        for u, v in itertools.combinations(range(G.n), 2) if G.has_edge(u, v)
+        for u, v in itertools.combinations(range(G.n), 2) if ref.has_edge(G, u, v)
     ]
     triangles = sum(
         1 for a, b, c in itertools.combinations(range(G.n), 3)
-        if G.has_edge(a, b) and G.has_edge(b, c) and G.has_edge(a, c)
+        if ref.has_edge(G, a, b) and ref.has_edge(G, b, c) and ref.has_edge(G, a, c)
     )
     order = [v for v in perm if v < G.n]
     with mock.patch.multiple(gc, _SCAN_BYTES=scan_bytes, _ROW_BYTES=row_bytes, _READ_CHARS=read_chars,
@@ -1268,7 +1355,7 @@ def test_graph_io_roundtrip_with_noise(case, perm):
         assert gc.triangle_count(G) == triangles
         for kept in (order, order[: G.n // 2]):
             assert gc._relabel(G.rows, kept) == reference_relabel(G.rows, kept)
-    assert H == G and list(H.edges()) == list(G.edges())
+    assert H == G and list(ref.edges(H)) == list(ref.edges(G))
 
 
 MUTATION_CHARS = "0123456789  \t\n\r#+-_.ae\x0b\x0c\x1c\x85\xa0\u3000\u0661\x00,"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import gf_reference
+import graph_reference
 from ramseyforge import geometry as geo
 from ramseyforge import graphcore as gc
 from ramseyforge import spectral as sp
@@ -161,7 +162,7 @@ def test_disjoint_union_spectrum():
         G2 = random_graph(rng.randint(2, 15), 0.5, rng)
         union = Graph.from_edges(
             G1.n + G2.n,
-            list(G1.edges()) + [(u + G1.n, v + G1.n) for u, v in G2.edges()],
+            list(graph_reference.edges(G1)) + [(u + G1.n, v + G1.n) for u, v in graph_reference.edges(G2)],
         )
         merged = sorted(
             sp.spectrum(G1).eigenvalues + sp.spectrum(G2).eigenvalues, reverse=True
