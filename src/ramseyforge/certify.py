@@ -202,7 +202,7 @@ def sample_and_delete(
     check_ambient(G, F, budget)
     alive = sampled_vertices(G.n, p, seed)
     trace: list[int] = []
-    sub = G if len(alive) == G.n else G.induced(alive)
+    sub = G.induced(alive)
     while alive and (alpha is None or alpha.upper >= t):
         found = find_independent_set(sub, t, budget)
         if found is None:
@@ -258,7 +258,7 @@ def verify_certificate(
             "INVALID", None, None, False,
             f"witness has {len(alive)} vertices, certificate says {cert.witness_count}",
         )
-    sub = G if len(alive) == G.n else G.induced(alive)
+    sub = G.induced(alive)
     symmetry = family_symmetry(cert.family, cert.params, G) if sub is G else None
     try:
         free, copy = is_pattern_free(sub, F, budget)

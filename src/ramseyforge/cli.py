@@ -94,11 +94,16 @@ def _emit_json(obj, args, run: _Run) -> None:
     _emit(_canonical(obj) + "\n", args, run)
 
 
-def _load_graph(path: str, run: _Run):
+def _read_input(path: str, run: _Run) -> str:
+    """The text of the input file `path`, its sha256 recorded in the manifest."""
     with open(path, "rb") as fh:
         raw = fh.read()
     run.input_hashes[path] = hashlib.sha256(raw).hexdigest()
-    return read_graph(io.StringIO(raw.decode()))
+    return raw.decode()
+
+
+def _load_graph(path: str, run: _Run):
+    return read_graph(io.StringIO(_read_input(path, run)))
 
 
 def _budget(args) -> int | None:
@@ -289,10 +294,7 @@ def _cmd_certify(args, run: _Run) -> int:
 
 
 def _cmd_verify(args, run: _Run) -> int:
-    with open(args.cert, "rb") as fh:
-        raw = fh.read()
-    run.input_hashes[args.cert] = hashlib.sha256(raw).hexdigest()
-    cert = RamseyCertificate.from_json(raw.decode())
+    cert = RamseyCertificate.from_json(_read_input(args.cert, run))
     res = verify_certificate(cert, _budget(args))
     payload = {
         "status": res.status,

@@ -40,11 +40,11 @@ def _iter_bits(mask: int) -> Iterator[int]:
 # Up to this many bits in len(rows) x len(order), _relabel gathers through a
 # bit matrix of that size, unpacked at one byte per bit; past it, through edge
 # arrays.  Matrix against arrays (2-core x86-64, CPython 3.11, numpy 2.4,
-# median of 15 rounds): the deletion loop's ER_13 subgraphs of n = m = 44 /
-# 183 take 29 / 171 us against 129 / 449 us.  The two cross between 2^20 and
-# 2^21 bits: 512 / 1024 rows of ER_49 take 1.9 / 7.1 ms against 2.4 / 6.6 ms,
-# 512 / 1024 rows of ER_81 3.1 / 10.1 ms against 3.7 / 8.3 ms, and 32 / 64
-# rows of a star with 2^15 leaves 101 / 266 us against 140 / 204 us.
+# best of 9 rounds): the deletion loop's ER_13 subgraphs of n = m = 44 / 183
+# take 23 / 104 us against 134 / 295 us.  Past 2^20 bits the arrays are
+# quicker: 512 / 1024 rows of ER_49 take 1.2 / 3.3 ms against 1.0 / 2.6 ms,
+# 512 / 1024 rows of ER_81 1.6 / 6.0 ms against 1.3 / 3.0 ms, and 32 / 64
+# rows of a star with 2^15 leaves 90 / 183 us against 65 / 64 us.
 _DENSE_BITS = 2**20
 
 
@@ -52,17 +52,18 @@ def _relabel(rows: Sequence[int], order: Sequence[int]) -> list[int]:
     """Rows of the subgraph induced on the distinct vertices `order`, in
     which vertex i is order[i].  `rows` are a Graph's rows: symmetric and
     loopless.  While len(rows) * len(order) is at most _DENSE_BITS, the kept
-    rows are unpacked into a bit matrix whose columns `order` are packed
-    back.  Past it the kept rows are masked to the kept vertices, their
-    edges read by _edge_arrays, relabelled and rebuilt by _pair_rows, so
-    each row costs time linear in its length and its kept degree."""
+    rows are unpacked into a bit matrix whose columns `order`, padded to
+    whole bytes with the zero column n, are packed back as one flat run.
+    Past it the kept rows are masked to the kept vertices, their edges read
+    by _edge_arrays, relabelled and rebuilt by _pair_rows, so each row
+    costs time linear in its length and its kept degree."""
     n, m = len(rows), len(order)
     if 0 < n * m <= _DENSE_BITS:
-        width, kept = (n + 7) >> 3, (m + 7) >> 3
+        width, kept = (n >> 3) + 1, (m + 7) >> 3  # so column n, past every vertex, is zero
         data = b"".join([rows[v].to_bytes(width, "little") for v in order])
         matrix = np.frombuffer(data, np.uint8).reshape(m, width)
-        bits = np.unpackbits(matrix, axis=1, bitorder="little")[:, order]
-        packed = np.packbits(bits, axis=1, bitorder="little").tobytes()
+        bits = np.unpackbits(matrix, axis=1, bitorder="little")[:, [*order, *[n] * (-m % 8)]]
+        packed = np.packbits(bits, bitorder="little").tobytes()
         return [int.from_bytes(packed[i : i + kept], "little") for i in range(0, m * kept, kept)]
     pos = np.full(n, -1)
     pos[order] = np.arange(m)
@@ -203,12 +204,15 @@ class Graph:
         return cls(n, _pair_rows(n, [pairs]))
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
-        """Induced subgraph; vertices must be strictly increasing (vertex i of
-        the result is vertices[i])."""
+        """Induced subgraph; vertices must be strictly increasing and in
+        0..n-1 (vertex i of the result is vertices[i]).  All n vertices give
+        the graph itself."""
         vs = list(vertices)
         if any(b <= a for a, b in zip(vs, vs[1:])):
             raise ValueError("vertices must be strictly increasing")
-        return Graph(len(vs), _relabel(self.rows, vs))
+        if vs and not 0 <= vs[0] <= vs[-1] < self.n:
+            raise ValueError(f"vertex {next(v for v in vs if not 0 <= v < self.n)} out of range")
+        return self if len(vs) == self.n else Graph(len(vs), _relabel(self.rows, vs))
 
     def drop_vertex(self, v: int) -> "Graph":
         """The graph with vertex v deleted; each later vertex moves down one
@@ -221,7 +225,7 @@ class Graph:
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
-        return Graph(self.n, [~row & full & ~(1 << v) for v, row in enumerate(self.rows)])
+        return Graph(self.n, [full ^ row ^ (1 << v) for v, row in enumerate(self.rows)])
 
     def subgraph_edge_count(self, mask: int) -> int:
         """Number of edges inside the vertex subset given as a bitmask."""
@@ -346,11 +350,11 @@ def _max_clique_search(
     counts the search nodes expanded: at most budget + 1.
     Vertices are relabeled by descending degree in the searched graph (ties
     by index), which fixes the search tree and therefore the witness
-    deterministically.  The search keeps, per vertex, the mask of the
-    vertices it is not adjacent to, without the vertex itself: G's own
-    relabeled rows when the complement is searched, and each row's
-    ~row ^ (1 << v) otherwise; and, to branch on, the mask of its
-    neighbours in the searched graph (its own bit is ignored).  Only
+    deterministically.  The rows are relabeled once and flipped once, each
+    to full ^ row ^ (1 << v) as in Graph.complement.  The searched graph's
+    non-neighbour masks (`others`, to colour on) are the rows when the
+    complement is searched and the flipped rows otherwise, and its
+    neighbour masks (`adj`, to branch on) are the other list.  Only
     cliques larger than `floor` are sought: with nothing larger, best is 0
     and the set empty; floor=0 is the plain search.
 
@@ -361,16 +365,12 @@ def _max_clique_search(
     n = G.n
     if n == 0:
         return 0, (), "complete", 0
-    # stable sorts, so ties stay in index order
-    if complement:
-        order = sorted(range(n), key=G.degrees.__getitem__)
-        others = _relabel(G.rows, order)
-        full = (1 << n) - 1
-        adj = [full ^ row for row in others]
-    else:
-        order = sorted(range(n), key=[-d for d in G.degrees].__getitem__)
-        adj = _relabel(G.rows, order)
-        others = [~row ^ (1 << v) for v, row in enumerate(adj)]
+    # a stable sort, reversed or not, keeps ties in index order
+    order = sorted(range(n), key=G.degrees.__getitem__, reverse=not complement)
+    rows = _relabel(G.rows, order)
+    full = (1 << n) - 1
+    flipped = [full ^ row ^ (1 << v) for v, row in enumerate(rows)]
+    others, adj = (rows, flipped) if complement else (flipped, rows)
     best: tuple[int, ...] = ()
     cut = floor  # the size a clique must exceed to be kept
     nodes = 0
@@ -874,12 +874,15 @@ def triangle_count(G: Graph) -> int:
 # --- text interchange ---------------------------------------------------------
 
 
+def _write_header(fh, header: dict | None, **fields) -> None:
+    """The '# {json}' header line: `header` with `fields` set, keys sorted."""
+    fh.write("# " + json.dumps({**(header or {}), **fields}, sort_keys=True) + "\n")
+
+
 def write_graph(G: Graph, fh, header: dict | None = None) -> None:
     """Edge-list text: a '# {json}' header line, then one 'u v' line per edge
     in sorted order (0-based)."""
-    head = dict(header or {})
-    head["n"] = G.n
-    fh.write("# " + json.dumps(head, sort_keys=True) + "\n")
+    _write_header(fh, header, n=G.n)
     for r, c in _edge_arrays(G.rows, np.arange(1, G.n + 1)):
         fh.write(("%d %d\n" * len(r)) % tuple(np.stack((r, c), axis=1).ravel().tolist()))
 
@@ -962,10 +965,7 @@ def read_graph(fh) -> tuple[Graph, dict]:
 def write_hypergraph(H: LinearHypergraph, fh, header: dict | None = None) -> None:
     """Hyperedge-list text: a '# {json}' header line, then one line per
     hyperedge listing its vertices."""
-    head = dict(header or {})
-    head["n"] = H.n
-    head["r"] = H.r
-    fh.write("# " + json.dumps(head, sort_keys=True) + "\n")
+    _write_header(fh, header, n=H.n, r=H.r)
     for e in H.edges:
         fh.write(" ".join(str(v) for v in e) + "\n")
 

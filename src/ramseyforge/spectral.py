@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphcore import Graph, triangle_count
+from .graphcore import Graph, _row_matrix, triangle_count
 
 MAX_SPECTRUM_N = 3000
 
@@ -23,14 +23,9 @@ MAX_SPECTRUM_N = 3000
 
 
 def adjacency_matrix(G: Graph) -> np.ndarray:
-    """Dense float adjacency matrix of G."""
-    n = G.n
-    if n == 0:
-        return np.zeros((0, 0))
-    nbytes = (n + 7) // 8
-    buf = b"".join(row.to_bytes(nbytes, "little") for row in G.rows)
-    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little")
-    return bits.reshape(n, 8 * nbytes)[:, :n].astype(float)
+    """Dense float adjacency matrix of G, unpacked from its packed rows."""
+    bits = np.unpackbits(_row_matrix(G.rows).view(np.uint8), axis=1, count=G.n, bitorder="little")
+    return bits.astype(float)
 
 
 def symmetric_eigenvalues(matrix) -> np.ndarray:

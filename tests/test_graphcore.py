@@ -280,6 +280,17 @@ def test_induced_matches_pair_scan():
         petersen().induced([2, 1])
 
 
+def test_induced_checks_its_vertices():
+    # induced([-1, 0]) on a 5-cycle returned a Graph with asymmetric rows
+    # (2, 0), and induced([3, 5]) raised IndexError
+    G = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    for vs, bad in (([-1, 0], -1), ([3, 5], 5), ([0, 4, 7, 9], 7), ([-3, -2, 8], -3)):
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+            G.induced(vs)
+    for H in (G, petersen(), Graph(0, [])):
+        assert H.induced(range(H.n)) is H
+
+
 def test_graph_accessors():
     G = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert G.degrees == (1, 2, 2, 1)

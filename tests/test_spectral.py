@@ -68,6 +68,15 @@ def test_adjacency_matrix():
     assert np.array_equal(
         sp.adjacency_matrix(G), np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], float)
     )
+    # n = 0, 1 and the word boundaries of the packed rows, against the edge list
+    rng = random.Random(32)
+    for n in (0, 1, 63, 64, 65):
+        G = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
+        want = np.zeros((n, n))
+        for u, v in graph_reference.edges(G):
+            want[u, v] = want[v, u] = 1.0
+        A = sp.adjacency_matrix(G)
+        assert A.dtype == float and A.shape == (n, n) and np.array_equal(A, want)
 
 
 def test_symmetric_eigenvalues_guards():
